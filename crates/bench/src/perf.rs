@@ -41,13 +41,13 @@ use relgraph_datagen::{generate_ecommerce, EcommerceConfig};
 use relgraph_db2graph::{build_graph, update_graph, ConvertOptions, GraphCursor};
 use relgraph_gnn::batch::{build_batch, input_dims};
 use relgraph_gnn::{
-    predict_nodes_f32, Aggregation, EmbeddingStore32, GnnConfig, HeteroGnn, InferModel32, Precision,
+    predict_nodes, Aggregation, EmbeddingStore, GnnConfig, HeteroGnn, InferModel32, Precision,
 };
 use relgraph_graph::{SamplerConfig, Seed, TemporalSampler};
 use relgraph_nn::{clip_global_norm, loss, Activation, Adam, Binding, Optimizer, ParamSet};
 use relgraph_pq::traintable::TrainTableConfig;
 use relgraph_pq::{analyze, build_training_table, parse, ExecConfig};
-use relgraph_serve::quant::{f64_row_bytes, q8_row_bytes};
+use relgraph_serve::codec::{f64_row_bytes, q8_row_bytes};
 use relgraph_serve::{ServeConfig, ServeEngine, ShardedEngine};
 use relgraph_store::{
     load_database_dir, save_database_dir, CommitWindow, DataDir, IngestPolicy, Row, RowBatch, Value,
@@ -789,7 +789,7 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
         // over the captured shapes, so the ≥4x floor is noise-free.
         {
             struct DimProbe(Vec<usize>);
-            impl EmbeddingStore32 for DimProbe {
+            impl EmbeddingStore<f32> for DimProbe {
                 fn get(&mut self, _ty: usize, _node: usize, _level: usize) -> Option<Vec<f32>> {
                     None
                 }
@@ -799,7 +799,7 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
             }
             let m32 = InferModel32::from_model(&model0);
             let mut probe = DimProbe(Vec::new());
-            let _ = predict_nodes_f32(
+            let _ = predict_nodes(
                 &m32,
                 engine.graph(),
                 node_type0,

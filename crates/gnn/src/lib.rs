@@ -14,6 +14,10 @@
 //! * [`train`] trains node-level models (binary classification with
 //!   BCE, regression with Huber on standardized targets), with mini-batch
 //!   Adam, gradient clipping and early stopping;
+//! * [`infer`] is the serving-time inference walk: per-node evaluation
+//!   with cross-seed neighborhood dedup and an optional embedding store,
+//!   generic over a [`WalkModel`] — [`NodeModel`] in `f64`, or the
+//!   down-converted [`InferModel32`] in `f32` ([`infer32`]);
 //! * [`recommend`] trains a two-tower recommendation model (GNN user tower,
 //!   linear item tower) with a BPR ranking loss.
 //!
@@ -64,8 +68,8 @@ pub mod train;
 
 pub use batch::{build_batch, Batch};
 pub use error::{GnnError, GnnResult};
-pub use infer::{predict_nodes, EmbeddingStore, NoCache};
-pub use infer32::{predict_nodes_f32, EmbeddingStore32, InferModel32, NoCache32, Precision};
+pub use infer::{predict_nodes, EmbeddingStore, NoCache, NodeInputs, WalkModel, WalkSpec};
+pub use infer32::{InferModel32, Precision};
 pub use model::{GnnConfig, HeteroGnn};
 pub use recommend::{train_two_tower, TwoTowerConfig, TwoTowerModel};
 pub use sage::Aggregation;

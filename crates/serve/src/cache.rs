@@ -5,15 +5,18 @@
 //! a small one for final per-entity predictions and a larger one for hop-ℓ
 //! node embeddings ([`EmbeddingCache`], which implements
 //! [`relgraph_gnn::EmbeddingStore`] so `predict_nodes` can consult it
-//! mid-recursion). Since cached embeddings are pure functions of
-//! `(type, node, level, anchor)`, the caches can only ever *skip* work,
-//! never change a value — correctness reduces to evicting the right
-//! entries when the graph underneath changes (see `engine::ServeEngine`).
+//! mid-recursion, storing rows through a [`RowCodec`]). Since cached
+//! embeddings are pure functions of `(type, node, level, anchor)`, the
+//! caches can only ever *skip* work, never change a value — correctness
+//! reduces to evicting the right entries when the graph underneath changes
+//! (see `engine::ServeEngine`).
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use relgraph_gnn::EmbeddingStore;
+
+use crate::codec::RowCodec;
 
 const NIL: usize = usize::MAX;
 
@@ -270,17 +273,41 @@ impl CacheStats {
     }
 }
 
-/// The embedding tier: an [`Lru`] keyed `(node type, node, level)` that
-/// plugs into [`relgraph_gnn::predict_nodes`] as its [`EmbeddingStore`].
-pub struct EmbeddingCache {
-    lru: Lru<(usize, usize, usize), Vec<f64>>,
+/// One embedding cache seen without its codec: what invalidation, flushes
+/// and stats need, whatever the serving precision.
+pub trait CacheSlice: Send {
+    /// Number of cached rows.
+    fn len(&self) -> usize;
+    /// True when nothing is cached.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Entries displaced by capacity pressure.
+    fn evictions(&self) -> u64;
+    /// Drop one `(type, node, level)` entry; true if it was present.
+    fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool;
+    /// Drop everything (the hit/miss counters survive; they describe the
+    /// cache's lifetime, not one anchor's).
+    fn clear(&mut self);
+    /// Copy the embedding-tier counters into `stats`.
+    fn export(&self, stats: &mut CacheStats);
+}
+
+/// The embedding tier: an [`Lru`] keyed `(node type, node, level)` holding
+/// rows in codec `C`'s stored form, plugged into
+/// [`relgraph_gnn::predict_nodes`] as its [`EmbeddingStore`]. Its
+/// `canonicalize` is the codec round trip.
+pub struct EmbeddingCache<C: RowCodec> {
+    /// Rows in stored form (the tiered store moves them to and from L2
+    /// without re-encoding).
+    pub(crate) lru: Lru<(usize, usize, usize), C::Stored>,
     /// Lookups answered from cache.
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
 }
 
-impl EmbeddingCache {
+impl<C: RowCodec> EmbeddingCache<C> {
     /// An empty cache holding at most `cap` embeddings.
     pub fn new(cap: usize) -> Self {
         EmbeddingCache {
@@ -289,40 +316,34 @@ impl EmbeddingCache {
             misses: 0,
         }
     }
+}
 
-    /// Number of cached embeddings.
-    pub fn len(&self) -> usize {
+impl<C: RowCodec> CacheSlice for EmbeddingCache<C> {
+    fn len(&self) -> usize {
         self.lru.len()
     }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Entries displaced by capacity pressure.
-    pub fn evictions(&self) -> u64 {
+    fn evictions(&self) -> u64 {
         self.lru.evictions
     }
-
-    /// Drop one `(type, node, level)` entry; true if it was present.
-    pub fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool {
+    fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool {
         self.lru.remove(&(ty, node, level))
     }
-
-    /// Drop everything (the hit/miss counters survive; they describe the
-    /// engine's lifetime, not one anchor's).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.lru.clear();
+    }
+    fn export(&self, stats: &mut CacheStats) {
+        stats.embedding_hits = self.hits;
+        stats.embedding_misses = self.misses;
+        stats.embedding_evictions = self.lru.evictions;
     }
 }
 
-impl EmbeddingStore for EmbeddingCache {
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f64>> {
+impl<C: RowCodec> EmbeddingStore<C::Scalar> for EmbeddingCache<C> {
+    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<C::Scalar>> {
         match self.lru.get(&(ty, node, level)) {
-            Some(emb) => {
+            Some(row) => {
                 self.hits += 1;
-                Some(emb.clone())
+                Some(C::decode(row))
             }
             None => {
                 self.misses += 1;
@@ -331,14 +352,19 @@ impl EmbeddingStore for EmbeddingCache {
         }
     }
 
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f64>) {
-        self.lru.insert((ty, node, level), emb);
+    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<C::Scalar>) {
+        self.lru.insert((ty, node, level), C::encode(emb));
+    }
+
+    fn canonicalize(&self, emb: Vec<C::Scalar>) -> Vec<C::Scalar> {
+        C::canonicalize(emb)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Identity;
 
     #[test]
     fn get_promotes_and_insert_evicts_coldest() {
@@ -448,7 +474,7 @@ mod tests {
 
     #[test]
     fn embedding_cache_counts_hits_and_misses() {
-        let mut c = EmbeddingCache::new(4);
+        let mut c = EmbeddingCache::<Identity<f64>>::new(4);
         assert!(c.get(0, 1, 0).is_none());
         c.put(0, 1, 0, vec![1.0, 2.0]);
         assert_eq!(c.get(0, 1, 0), Some(vec![1.0, 2.0]));

@@ -1,33 +1,134 @@
-//! Reduced-precision embedding tiers for the serving cache.
+//! Row codecs: how the serving caches store an embedding row.
 //!
-//! The engine's hop-ℓ embedding cache stores one `Vec<f64>` per
-//! `(type, node, level)` — 8 bytes per dimension. When the engine serves
-//! in a reduced [`Precision`], the same LRU slot budget buys far more
-//! resident entities:
+//! Every embedding cache — the per-shard L1 ([`EmbeddingCache`]) and the
+//! shared L2 ([`L2Tier`](crate::L2Tier)) — stores rows through one
+//! [`RowCodec`], chosen by the serving [`Precision`](relgraph_gnn::Precision):
 //!
-//! * [`EmbeddingCache32`] stores `f32` rows (half the bytes);
-//! * [`QuantizedEmbeddingCache`] stores 8-bit linearly quantized rows
-//!   ([`QuantizedRow`]: one `u8` per dimension plus an 8-byte per-row
-//!   `(scale, min)` header) — a 4–8× byte reduction depending on row
-//!   width.
+//! * [`Identity<f64>`] stores the `f64` rows the tape computes, as is;
+//! * [`Identity<f32>`] stores the `f32` rows the packed kernel computes
+//!   (half the bytes);
+//! * [`Q8`] stores 8-bit linearly quantized rows ([`QuantizedRow`]: one
+//!   `u8` per dimension plus an 8-byte per-row `(scale, min)` header) — a
+//!   4–8× byte reduction depending on row width.
 //!
-//! Quantization is lossy, so the quantized tier implements
-//! [`EmbeddingStore32::canonicalize`] as encode∘decode: the inference
-//! recursion consumes the *storable* value from the start, which is what
+//! A codec's [`canonicalize`](RowCodec::canonicalize) is its round trip,
+//! `decode ∘ encode`, and it is what the cache reports to the inference
+//! walk as [`EmbeddingStore::canonicalize`](relgraph_gnn::EmbeddingStore::canonicalize).
+//! The walk consumes the *storable* value from the start, which is what
 //! makes warm (cache-hit) and cold (cache-miss) runs bit-identical. The
-//! round-trip error bound — at most `scale/2` plus one half-ulp of the
-//! reconstructed value — is stated in `DESIGN.md` §15 and enforced by the
-//! property tests below.
+//! identity codecs skip the round trip (their encode moves the row, so the
+//! `f64` hot path copies nothing extra). The q8 round-trip error bound —
+//! at most `scale/2` plus one half-ulp of the reconstructed value — is
+//! stated in `DESIGN.md` §15 and enforced by the property tests below.
 //!
-//! [`EmbeddingTier`] wraps the three stores behind one enum so the engine
-//! and the sharded shard loop can hold "whichever tier the precision mode
-//! calls for" without generics leaking into their signatures.
+//! [`EmbeddingCache`]: crate::EmbeddingCache
 
-use relgraph_gnn::{EmbeddingStore32, Precision};
+use std::marker::PhantomData;
 
-use crate::cache::{EmbeddingCache, Lru};
+use crate::l2::L2Row;
 
-type Key = (usize, usize, usize);
+/// How a cache stores one embedding row of [`Self::Scalar`]s.
+///
+/// Codecs are stateless. The contract the walk relies on:
+/// `decode(&encode(v)) == canonicalize(v)` bitwise, and `canonicalize` is
+/// idempotent.
+pub trait RowCodec: Send + Sync + 'static {
+    /// The scalar the inference walk computes rows in.
+    type Scalar: Copy + Send + Sync + 'static;
+    /// The stored form of one row.
+    type Stored: Clone + Send + Sync + 'static;
+    /// Encode a row for storage.
+    fn encode(row: Vec<Self::Scalar>) -> Self::Stored;
+    /// Decode a stored row.
+    fn decode(stored: &Self::Stored) -> Vec<Self::Scalar>;
+    /// Wrap a stored row as the shared L2 tier's payload.
+    fn share(stored: Self::Stored) -> L2Row;
+    /// The stored row inside an L2 payload, if it was written by this
+    /// codec.
+    fn unshare(row: &L2Row) -> Option<&Self::Stored>;
+    /// Exactly what [`decode`](Self::decode) returns after
+    /// [`encode`](Self::encode) of `row`. Lossless codecs override this
+    /// with the identity, skipping the round trip.
+    fn canonicalize(row: Vec<Self::Scalar>) -> Vec<Self::Scalar> {
+        Self::decode(&Self::encode(row))
+    }
+}
+
+/// Rows stored as computed: `f64` ([`Identity<f64>`]) or `f32`
+/// ([`Identity<f32>`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Identity<T>(PhantomData<T>);
+
+impl RowCodec for Identity<f64> {
+    type Scalar = f64;
+    type Stored = Vec<f64>;
+    fn encode(row: Vec<f64>) -> Vec<f64> {
+        row
+    }
+    fn decode(stored: &Vec<f64>) -> Vec<f64> {
+        stored.clone()
+    }
+    fn canonicalize(row: Vec<f64>) -> Vec<f64> {
+        row
+    }
+    fn share(stored: Vec<f64>) -> L2Row {
+        L2Row::F64(stored)
+    }
+    fn unshare(row: &L2Row) -> Option<&Vec<f64>> {
+        match row {
+            L2Row::F64(r) => Some(r),
+            _ => None,
+        }
+    }
+}
+
+impl RowCodec for Identity<f32> {
+    type Scalar = f32;
+    type Stored = Vec<f32>;
+    fn encode(row: Vec<f32>) -> Vec<f32> {
+        row
+    }
+    fn decode(stored: &Vec<f32>) -> Vec<f32> {
+        stored.clone()
+    }
+    fn canonicalize(row: Vec<f32>) -> Vec<f32> {
+        row
+    }
+    fn share(stored: Vec<f32>) -> L2Row {
+        L2Row::F32(stored)
+    }
+    fn unshare(row: &L2Row) -> Option<&Vec<f32>> {
+        match row {
+            L2Row::F32(r) => Some(r),
+            _ => None,
+        }
+    }
+}
+
+/// `f32` rows stored as 8-bit linearly quantized [`QuantizedRow`]s
+/// (~`dim + 8` bytes instead of `8·dim`), decoded on every hit.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Q8;
+
+impl RowCodec for Q8 {
+    type Scalar = f32;
+    type Stored = QuantizedRow;
+    fn encode(row: Vec<f32>) -> QuantizedRow {
+        quantize_row(&row)
+    }
+    fn decode(stored: &QuantizedRow) -> Vec<f32> {
+        dequantize_row(stored)
+    }
+    fn share(stored: QuantizedRow) -> L2Row {
+        L2Row::Q8(stored)
+    }
+    fn unshare(row: &L2Row) -> Option<&QuantizedRow> {
+        match row {
+            L2Row::Q8(r) => Some(r),
+            _ => None,
+        }
+    }
+}
 
 /// One 8-bit linearly quantized embedding row.
 ///
@@ -108,269 +209,14 @@ pub fn dequantize_row(row: &QuantizedRow) -> Vec<f32> {
         .collect()
 }
 
-/// The `f32` embedding tier: an [`Lru`] keyed `(type, node, level)` that
-/// plugs into [`relgraph_gnn::predict_nodes_f32`] as its
-/// [`EmbeddingStore32`]. Storage is lossless, so `canonicalize` stays the
-/// identity default.
-pub struct EmbeddingCache32 {
-    lru: Lru<Key, Vec<f32>>,
-    /// Lookups answered from cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-}
-
-impl EmbeddingCache32 {
-    /// An empty cache holding at most `cap` embeddings.
-    pub fn new(cap: usize) -> Self {
-        EmbeddingCache32 {
-            lru: Lru::new(cap),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Number of cached embeddings.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Entries displaced by capacity pressure.
-    pub fn evictions(&self) -> u64 {
-        self.lru.evictions
-    }
-
-    /// Drop one `(type, node, level)` entry; true if it was present.
-    pub fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool {
-        self.lru.remove(&(ty, node, level))
-    }
-
-    /// Drop everything (hit/miss counters survive).
-    pub fn clear(&mut self) {
-        self.lru.clear();
-    }
-}
-
-impl EmbeddingStore32 for EmbeddingCache32 {
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f32>> {
-        match self.lru.get(&(ty, node, level)) {
-            Some(emb) => {
-                self.hits += 1;
-                Some(emb.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f32>) {
-        self.lru.insert((ty, node, level), emb);
-    }
-}
-
-/// The 8-bit quantized embedding tier: rows live as [`QuantizedRow`]s
-/// (~`dim + 8` bytes instead of `8·dim`), decoded on every hit.
-///
-/// `canonicalize` is encode∘decode, so the recursion only ever consumes
-/// values the cache can reproduce — warm and cold runs agree bitwise.
-pub struct QuantizedEmbeddingCache {
-    lru: Lru<Key, QuantizedRow>,
-    /// Lookups answered from cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-}
-
-impl QuantizedEmbeddingCache {
-    /// An empty cache holding at most `cap` quantized rows.
-    pub fn new(cap: usize) -> Self {
-        QuantizedEmbeddingCache {
-            lru: Lru::new(cap),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Number of cached rows.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Entries displaced by capacity pressure.
-    pub fn evictions(&self) -> u64 {
-        self.lru.evictions
-    }
-
-    /// Drop one `(type, node, level)` entry; true if it was present.
-    pub fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool {
-        self.lru.remove(&(ty, node, level))
-    }
-
-    /// Drop everything (hit/miss counters survive).
-    pub fn clear(&mut self) {
-        self.lru.clear();
-    }
-}
-
-impl EmbeddingStore32 for QuantizedEmbeddingCache {
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f32>> {
-        match self.lru.get(&(ty, node, level)) {
-            Some(row) => {
-                self.hits += 1;
-                Some(dequantize_row(row))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f32>) {
-        self.lru.insert((ty, node, level), quantize_row(&emb));
-    }
-
-    fn canonicalize(&self, emb: Vec<f32>) -> Vec<f32> {
-        dequantize_row(&quantize_row(&emb))
-    }
-}
-
-/// The embedding tier an engine (or shard) actually holds: one variant
-/// per serving [`Precision`]. Lookup/insert goes through the store traits
-/// ([`relgraph_gnn::EmbeddingStore`] for `F64`, [`EmbeddingStore32`]
-/// otherwise); this
-/// enum only carries the shared bookkeeping surface so `engine`/`sharded`
-/// code stays precision-agnostic.
-pub enum EmbeddingTier {
-    /// Full-precision rows (`Vec<f64>`), the default.
-    F64(EmbeddingCache),
-    /// Single-precision rows (`Vec<f32>`).
-    F32(EmbeddingCache32),
-    /// 8-bit quantized rows ([`QuantizedRow`]).
-    Q8(QuantizedEmbeddingCache),
-}
-
-impl EmbeddingTier {
-    /// An empty tier for `precision` holding at most `cap` rows.
-    pub fn new(precision: Precision, cap: usize) -> Self {
-        match precision {
-            Precision::F64 => EmbeddingTier::F64(EmbeddingCache::new(cap)),
-            Precision::F32 => EmbeddingTier::F32(EmbeddingCache32::new(cap)),
-            Precision::Q8 => EmbeddingTier::Q8(QuantizedEmbeddingCache::new(cap)),
-        }
-    }
-
-    /// The precision this tier serves.
-    pub fn precision(&self) -> Precision {
-        match self {
-            EmbeddingTier::F64(_) => Precision::F64,
-            EmbeddingTier::F32(_) => Precision::F32,
-            EmbeddingTier::Q8(_) => Precision::Q8,
-        }
-    }
-
-    /// Number of cached rows.
-    pub fn len(&self) -> usize {
-        match self {
-            EmbeddingTier::F64(c) => c.len(),
-            EmbeddingTier::F32(c) => c.len(),
-            EmbeddingTier::Q8(c) => c.len(),
-        }
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries displaced by capacity pressure.
-    pub fn evictions(&self) -> u64 {
-        match self {
-            EmbeddingTier::F64(c) => c.evictions(),
-            EmbeddingTier::F32(c) => c.evictions(),
-            EmbeddingTier::Q8(c) => c.evictions(),
-        }
-    }
-
-    /// Lookups answered from cache.
-    pub fn hits(&self) -> u64 {
-        match self {
-            EmbeddingTier::F64(c) => c.hits,
-            EmbeddingTier::F32(c) => c.hits,
-            EmbeddingTier::Q8(c) => c.hits,
-        }
-    }
-
-    /// Lookups that missed.
-    pub fn misses(&self) -> u64 {
-        match self {
-            EmbeddingTier::F64(c) => c.misses,
-            EmbeddingTier::F32(c) => c.misses,
-            EmbeddingTier::Q8(c) => c.misses,
-        }
-    }
-
-    /// Drop one `(type, node, level)` entry; true if it was present.
-    pub fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool {
-        match self {
-            EmbeddingTier::F64(c) => c.invalidate(ty, node, level),
-            EmbeddingTier::F32(c) => c.invalidate(ty, node, level),
-            EmbeddingTier::Q8(c) => c.invalidate(ty, node, level),
-        }
-    }
-
-    /// Drop everything (hit/miss counters survive).
-    pub fn clear(&mut self) {
-        match self {
-            EmbeddingTier::F64(c) => c.clear(),
-            EmbeddingTier::F32(c) => c.clear(),
-            EmbeddingTier::Q8(c) => c.clear(),
-        }
-    }
-
-    /// The `f64` store, for the full-precision predict path.
-    ///
-    /// # Panics
-    /// Panics if this tier is not [`EmbeddingTier::F64`] — the engine
-    /// routes by precision before reaching here.
-    pub fn as_f64_mut(&mut self) -> &mut EmbeddingCache {
-        match self {
-            EmbeddingTier::F64(c) => c,
-            _ => panic!("f64 predict path reached a reduced-precision tier"),
-        }
-    }
-
-    /// The reduced-precision store, for the `f32`/`q8` predict path.
-    ///
-    /// # Panics
-    /// Panics if this tier is [`EmbeddingTier::F64`].
-    pub fn as_store32_mut(&mut self) -> &mut dyn EmbeddingStore32 {
-        match self {
-            EmbeddingTier::F32(c) => c,
-            EmbeddingTier::Q8(c) => c,
-            EmbeddingTier::F64(_) => {
-                panic!("reduced-precision predict path reached the f64 tier")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheSlice, EmbeddingCache};
     use proptest::prelude::*;
+    use relgraph_gnn::EmbeddingStore;
+
+    type Key = (usize, usize, usize);
 
     /// The §15 reconstruction bound: half a quantization step, plus one
     /// half-ulp of the reconstructed magnitude for the final narrowing,
@@ -457,7 +303,7 @@ mod tests {
 
     #[test]
     fn canonicalize_is_idempotent_and_matches_warm_get() {
-        let mut c = QuantizedEmbeddingCache::new(8);
+        let mut c = EmbeddingCache::<Q8>::new(8);
         let row = vec![0.1f32, -2.7, 3.625, 0.0, 8.5];
         let canon = c.canonicalize(row.clone());
         let canon2 = c.canonicalize(canon.clone());
@@ -474,34 +320,6 @@ mod tests {
             bits(&canon),
             "warm get must equal canonicalize"
         );
-    }
-
-    #[test]
-    fn tier_routes_by_precision() {
-        for p in [Precision::F64, Precision::F32, Precision::Q8] {
-            let t = EmbeddingTier::new(p, 4);
-            assert_eq!(t.precision(), p);
-            assert!(t.is_empty());
-        }
-        let mut t = EmbeddingTier::new(Precision::Q8, 4);
-        t.as_store32_mut().put(0, 0, 0, vec![1.0, 2.0]);
-        assert_eq!(t.len(), 1);
-        assert!(t.invalidate(0, 0, 0));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "reduced-precision predict path")]
-    fn f64_tier_rejects_store32_access() {
-        let mut t = EmbeddingTier::new(Precision::F64, 4);
-        let _ = t.as_store32_mut();
-    }
-
-    #[test]
-    #[should_panic(expected = "f64 predict path")]
-    fn q8_tier_rejects_f64_access() {
-        let mut t = EmbeddingTier::new(Precision::Q8, 4);
-        let _ = t.as_f64_mut();
     }
 
     /// Strategy: rows mixing magnitudes from subnormal to huge.
@@ -542,7 +360,7 @@ mod tests {
         }
 
         fn canonicalize_fixed_point(row in row_strategy()) {
-            let c = QuantizedEmbeddingCache::new(4);
+            let c = EmbeddingCache::<Q8>::new(4);
             let once = c.canonicalize(row);
             let twice = c.canonicalize(once.clone());
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -585,8 +403,8 @@ mod tests {
             ops in proptest::collection::vec(op_strategy(), 1..60),
             cap in 1usize..8,
         ) {
-            let mut plain = EmbeddingCache32::new(cap);
-            let mut quant = QuantizedEmbeddingCache::new(cap);
+            let mut plain = EmbeddingCache::<Identity<f32>>::new(cap);
+            let mut quant = EmbeddingCache::<Q8>::new(cap);
             for op in &ops {
                 match op {
                     Op::Get(k) => {

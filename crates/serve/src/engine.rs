@@ -36,10 +36,7 @@ use std::sync::Arc;
 use relgraph_db2graph::{
     build_graph, update_graph, ConvertOptions, DeltaStats, GraphCursor, GraphMapping,
 };
-use relgraph_gnn::{
-    predict_nodes, predict_nodes_f32, EmbeddingStore, EmbeddingStore32, InferModel32, NodeModel,
-    Precision,
-};
+use relgraph_gnn::{predict_nodes, EmbeddingStore, InferModel32, NodeModel, Precision, WalkModel};
 use relgraph_graph::{FeatureMatrix, HeteroGraph, NodeTypeId};
 use relgraph_obs as obs;
 use relgraph_pq::{ExecConfig, PreparedQuery};
@@ -47,10 +44,11 @@ use relgraph_store::{
     Database, IngestPolicy, IngestReport, RowBatch, StoreResult, Timestamp, Value,
 };
 
-use crate::cache::{CacheStats, Lru};
+use crate::cache::{CacheSlice, CacheStats, EmbeddingCache, Lru};
+use crate::codec::{Identity, RowCodec, Q8};
 use crate::error::{ServeError, ServeResult};
 use crate::invalidate::{dirty_closure, evict_dirty, grown_tables, TableGrowth};
-use crate::quant::EmbeddingTier;
+use crate::l2::{L2Snapshot, Staged, TieredStore};
 
 /// Serving knobs: batch bounds and cache capacities.
 #[derive(Debug, Clone)]
@@ -153,15 +151,13 @@ pub struct ServeEngine {
     opts: ConvertOptions,
     query: PreparedQuery,
     model: Arc<NodeModel>,
-    /// Weights down-converted to `f32` once at assembly; `None` in `F64`
-    /// mode (the `f64` path must stay bitwise untouched by this feature).
-    model32: Option<Arc<InferModel32>>,
     node_type: NodeTypeId,
     metrics: Vec<(String, f64)>,
     anchor: Timestamp,
     hops: usize,
     predictions: Lru<usize, f64>,
-    embeddings: EmbeddingTier,
+    /// The walk model and embedding tier of the configured precision.
+    scorer: Box<dyn Scoring>,
     stats: CacheStats,
     cfg: ServeConfig,
 }
@@ -254,11 +250,8 @@ impl ServeEngine {
         let cursor = GraphCursor::capture(&db);
         let anchor = deploy_anchor(&db);
         let hops = model.sampler_cfg().fanouts.len();
-        let model32 = match cfg.precision {
-            Precision::F64 => None,
-            Precision::F32 | Precision::Q8 => Some(Arc::new(InferModel32::from_model(&model))),
-        };
         Ok(ServeEngine {
+            scorer: scorer(&model, cfg.precision, cfg.embedding_cache),
             db,
             graph,
             mapping,
@@ -266,13 +259,11 @@ impl ServeEngine {
             opts,
             query,
             model,
-            model32,
             node_type,
             metrics,
             anchor,
             hops,
             predictions: Lru::new(cfg.prediction_cache),
-            embeddings: EmbeddingTier::new(cfg.precision, cfg.embedding_cache),
             stats: CacheStats::default(),
             cfg,
         })
@@ -284,28 +275,15 @@ impl ServeEngine {
     /// input order; duplicate rows are computed once.
     pub fn predict_batch(&mut self, rows: &[usize]) -> Vec<f64> {
         let t0 = std::time::Instant::now();
-        let out = match &self.model32 {
-            None => predict_batch_cached(
-                &self.model,
-                &self.graph,
-                self.node_type,
-                self.anchor,
-                rows,
-                &mut self.predictions,
-                self.embeddings.as_f64_mut(),
-                &mut self.stats,
-            ),
-            Some(m32) => predict_batch_cached32(
-                m32,
-                &self.graph,
-                self.node_type,
-                self.anchor,
-                rows,
-                &mut self.predictions,
-                self.embeddings.as_store32_mut(),
-                &mut self.stats,
-            ),
-        };
+        let (out, _) = self.scorer.score(
+            &self.graph,
+            self.node_type,
+            self.anchor,
+            rows,
+            &mut self.predictions,
+            &mut self.stats,
+            None,
+        );
         self.sync_stats();
         if obs::enabled() {
             obs::add("serve.requests", rows.len() as u64);
@@ -483,7 +461,7 @@ impl ServeEngine {
             self.hops,
             self.node_type.0,
             &mut self.predictions,
-            &mut self.embeddings,
+            self.scorer.cache(),
         );
         outcome.invalidated_embeddings = emb;
         outcome.invalidated_predictions = pred;
@@ -507,7 +485,7 @@ impl ServeEngine {
 
     fn flush_caches(&mut self) {
         self.predictions.clear();
-        self.embeddings.clear();
+        self.scorer.cache().clear();
         self.stats.flushes += 1;
         if obs::enabled() {
             obs::add("serve.cache.flushes", 1);
@@ -516,9 +494,7 @@ impl ServeEngine {
 
     fn sync_stats(&mut self) {
         self.stats.prediction_evictions = self.predictions.evictions;
-        self.stats.embedding_hits = self.embeddings.hits();
-        self.stats.embedding_misses = self.embeddings.misses();
-        self.stats.embedding_evictions = self.embeddings.evictions();
+        self.scorer.cache().export(&mut self.stats);
     }
 
     /// Publish cache counters and hit-rate gauges through `relgraph-obs`
@@ -559,12 +535,6 @@ impl ServeEngine {
     /// tier and tests hand it to [`ServeEngine::from_fitted`]).
     pub fn model_handle(&self) -> Arc<NodeModel> {
         Arc::clone(&self.model)
-    }
-
-    /// The down-converted `f32` inference model, when serving in a
-    /// reduced precision (`None` in `F64` mode).
-    pub fn model32_handle(&self) -> Option<Arc<InferModel32>> {
-        self.model32.clone()
     }
 
     /// The numeric mode this engine serves in.
@@ -618,27 +588,30 @@ pub(crate) fn deploy_anchor(db: &Database) -> Timestamp {
 /// each shard of the concurrent tier can run it against its *own* cache
 /// slice and whatever graph snapshot it currently holds. Cached
 /// predictions short-circuit; the rest run through the deduplicating
-/// per-node path against the embedding tier. Output order matches input
-/// order; duplicate rows are computed once.
+/// per-node walk against the embedding tier, in the model's precision.
+/// Output order matches input order; duplicate rows are computed once.
+/// The prediction tier stays exact `f64` in every precision — only the
+/// embedding payloads and the arithmetic are reduced, so cached and
+/// recomputed predictions agree bitwise within a mode.
 ///
 /// Batch composition never changes a value: `predict_nodes` evaluates each
 /// node as a pure function of `(type, node, level, anchor)`, which is why
 /// any partitioning of a request stream across shards — each with its own
 /// caches — stays bit-identical to a single engine scoring the same rows.
 #[allow(clippy::too_many_arguments)]
-pub fn predict_batch_cached(
-    model: &NodeModel,
+pub fn predict_batch_cached<M: WalkModel + ?Sized>(
+    model: &M,
     graph: &HeteroGraph,
     node_type: NodeTypeId,
     anchor: Timestamp,
     rows: &[usize],
     predictions: &mut Lru<usize, f64>,
-    embeddings: &mut dyn EmbeddingStore,
+    embeddings: &mut dyn EmbeddingStore<M::Scalar>,
     stats: &mut CacheStats,
 ) -> Vec<f64> {
     let mut out = vec![0.0f64; rows.len()];
     let mut miss_rows: Vec<usize> = Vec::new();
-    let mut miss_slot: HashMap<usize, usize> = HashMap::new();
+    let mut miss_slot: HashMap<usize, usize> = HashMap::with_capacity(rows.len());
     let mut miss_positions: Vec<(usize, usize)> = Vec::new(); // (out idx, miss idx)
     for (i, &row) in rows.iter().enumerate() {
         if let Some(&p) = predictions.get(&row) {
@@ -669,50 +642,96 @@ pub fn predict_batch_cached(
     out
 }
 
-/// The reduced-precision twin of [`predict_batch_cached`]: the same
-/// prediction-tier short-circuit and in-batch dedup, with the misses
-/// scored by [`predict_nodes_f32`] against a lossy-or-lossless
-/// [`EmbeddingStore32`]. The prediction tier stays exact `f64` — only the
-/// embedding payloads and the arithmetic are reduced, so cached and
-/// recomputed predictions agree bitwise within a mode.
-#[allow(clippy::too_many_arguments)]
-pub fn predict_batch_cached32(
-    model32: &InferModel32,
-    graph: &HeteroGraph,
-    node_type: NodeTypeId,
-    anchor: Timestamp,
-    rows: &[usize],
-    predictions: &mut Lru<usize, f64>,
-    embeddings: &mut dyn EmbeddingStore32,
-    stats: &mut CacheStats,
-) -> Vec<f64> {
-    let mut out = vec![0.0f64; rows.len()];
-    let mut miss_rows: Vec<usize> = Vec::new();
-    let mut miss_slot: HashMap<usize, usize> = HashMap::new();
-    let mut miss_positions: Vec<(usize, usize)> = Vec::new(); // (out idx, miss idx)
-    for (i, &row) in rows.iter().enumerate() {
-        if let Some(&p) = predictions.get(&row) {
-            stats.prediction_hits += 1;
-            out[i] = p;
-        } else if let Some(&slot) = miss_slot.get(&row) {
-            stats.prediction_misses += 1;
-            miss_positions.push((i, slot));
-        } else {
-            stats.prediction_misses += 1;
-            let slot = miss_rows.len();
-            miss_rows.push(row);
-            miss_slot.insert(row, slot);
-            miss_positions.push((i, slot));
-        }
+/// A cache slice's scoring state in one precision, seen without its
+/// types: the walk model plus the embedding tier it fills. The engine
+/// holds one; each shard of the sharded tier holds its own.
+pub(crate) trait Scoring: Send {
+    /// [`predict_batch_cached`] over this slice's embedding tier, layered
+    /// over the shared `l2` view when given. Returns the predictions and
+    /// the rows computed for promotion into L2 (empty without a view).
+    #[allow(clippy::too_many_arguments)]
+    fn score(
+        &mut self,
+        graph: &HeteroGraph,
+        node_type: NodeTypeId,
+        anchor: Timestamp,
+        rows: &[usize],
+        predictions: &mut Lru<usize, f64>,
+        stats: &mut CacheStats,
+        l2: Option<&L2Snapshot>,
+    ) -> (Vec<f64>, Staged);
+
+    /// The embedding tier, for invalidation, flushes and stats.
+    fn cache(&mut self) -> &mut dyn CacheSlice;
+
+    /// A fresh slice of `cap` embeddings sharing this one's model.
+    fn fork(&self, cap: usize) -> Box<dyn Scoring>;
+}
+
+struct Scorer<M, C: RowCodec> {
+    model: Arc<M>,
+    embeddings: EmbeddingCache<C>,
+}
+
+impl<M, C> Scoring for Scorer<M, C>
+where
+    M: WalkModel<Scalar = C::Scalar> + Send + 'static,
+    C: RowCodec,
+{
+    fn score(
+        &mut self,
+        graph: &HeteroGraph,
+        node_type: NodeTypeId,
+        anchor: Timestamp,
+        rows: &[usize],
+        predictions: &mut Lru<usize, f64>,
+        stats: &mut CacheStats,
+        l2: Option<&L2Snapshot>,
+    ) -> (Vec<f64>, Staged) {
+        let mut store = TieredStore::new(&mut self.embeddings, l2);
+        let preds = predict_batch_cached(
+            &*self.model,
+            graph,
+            node_type,
+            anchor,
+            rows,
+            predictions,
+            &mut store,
+            stats,
+        );
+        stats.l2_hits += store.l2_hits;
+        stats.l2_misses += store.l2_misses;
+        (preds, store.into_staged())
     }
-    if !miss_rows.is_empty() {
-        let preds = predict_nodes_f32(model32, graph, node_type, &miss_rows, anchor, embeddings);
-        for (&row, &p) in miss_rows.iter().zip(&preds) {
-            predictions.insert(row, p);
-        }
-        for (i, slot) in miss_positions {
-            out[i] = preds[slot];
-        }
+
+    fn cache(&mut self) -> &mut dyn CacheSlice {
+        &mut self.embeddings
     }
-    out
+
+    fn fork(&self, cap: usize) -> Box<dyn Scoring> {
+        boxed::<M, C>(Arc::clone(&self.model), cap)
+    }
+}
+
+fn boxed<M, C>(model: Arc<M>, cap: usize) -> Box<dyn Scoring>
+where
+    M: WalkModel<Scalar = C::Scalar> + Send + 'static,
+    C: RowCodec,
+{
+    Box::new(Scorer::<M, C> {
+        model,
+        embeddings: EmbeddingCache::new(cap),
+    })
+}
+
+/// The one place serving dispatches on [`Precision`]: the walk model
+/// (`f64` tape, or weights down-converted once to `f32`) and the codec its
+/// embedding tier stores rows with, for a slice of `cap` embeddings.
+/// Training is always `f64`; `DESIGN.md` §15 has the tolerance story.
+pub(crate) fn scorer(model: &Arc<NodeModel>, precision: Precision, cap: usize) -> Box<dyn Scoring> {
+    match precision {
+        Precision::F64 => boxed::<_, Identity<f64>>(Arc::clone(model), cap),
+        Precision::F32 => boxed::<_, Identity<f32>>(Arc::new(InferModel32::from_model(model)), cap),
+        Precision::Q8 => boxed::<_, Q8>(Arc::new(InferModel32::from_model(model)), cap),
+    }
 }

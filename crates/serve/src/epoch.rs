@@ -52,12 +52,24 @@ impl<T> EpochCell<T> {
     /// The current snapshot (possibly newer than [`epoch`](Self::epoch)
     /// just returned, never older). Touches a slot lock only long enough
     /// to clone the `Arc`.
+    ///
+    /// The epoch is read again under the slot lock. A writer can only
+    /// rewrite the slot of epoch `e` while publishing `e + 2`, after it
+    /// stored `e + 1`; so if the epoch still reads `e` under the lock, the
+    /// slot holds exactly snapshot `e`. Without the re-check a reader
+    /// delayed between the two steps could clone a snapshot whose epoch is
+    /// not yet published, and its next load could then go back to the
+    /// older published one.
     pub fn load(&self) -> Arc<T> {
-        let e = self.epoch.load(Ordering::Acquire);
-        self.slots[(e & 1) as usize]
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        loop {
+            let e = self.epoch.load(Ordering::Acquire);
+            let slot = self.slots[(e & 1) as usize]
+                .read()
+                .unwrap_or_else(|p| p.into_inner());
+            if self.epoch.load(Ordering::Acquire) == e {
+                return slot.clone();
+            }
+        }
     }
 
     /// Publish `next` as the new current snapshot and return its epoch.
@@ -81,6 +93,7 @@ impl<T> EpochCell<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
 
     #[test]
     fn load_returns_latest_publish() {
@@ -108,29 +121,39 @@ mod tests {
 
     /// Readers hammering `load` while a writer publishes must only ever
     /// see internally consistent snapshots (both halves equal) and a
-    /// non-decreasing version per reader thread.
+    /// non-decreasing version per reader thread. Every reader loads once
+    /// and passes a barrier before the writer starts, so the test holds
+    /// regardless of core count or scheduling.
     #[test]
     fn concurrent_loads_never_observe_torn_or_regressing_state() {
         let cell = Arc::new(EpochCell::new(Arc::new((0u64, 0u64))));
         let stop = Arc::new(AtomicBool::new(false));
+        let ready = Arc::new(Barrier::new(5));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
+                let ready = Arc::clone(&ready);
                 std::thread::spawn(move || {
                     let mut last = 0u64;
                     let mut loads = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    loop {
                         let snap = cell.load();
                         assert_eq!(snap.0, snap.1, "torn snapshot observed");
                         assert!(snap.0 >= last, "snapshot version regressed");
                         last = snap.0;
                         loads += 1;
+                        if loads == 1 {
+                            ready.wait();
+                        } else if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
                     }
                     loads
                 })
             })
             .collect();
+        ready.wait();
         for v in 1..=2000u64 {
             cell.publish(Arc::new((v, v)));
         }

@@ -42,26 +42,30 @@
 //!
 //! # What the tier stores
 //!
-//! Rows are stored in the serving precision's *canonical cached form*
-//! ([`L2Row`]): raw `f64`/`f32` rows, or the quantized `q8` encoding.
-//! A quantized L2 hit dequantizes the same bytes an L1 warm hit would,
-//! so promotion through L2 cannot perturb served bits in any precision
-//! mode (asserted per-mode by `tests/serving_equivalence.rs`).
+//! Rows are stored exactly as the shard's L1 stores them — the serving
+//! precision's [`RowCodec`] encoding, wrapped as an [`L2Row`]: raw
+//! `f64`/`f32` rows, or the quantized `q8` encoding. An L2 hit decodes
+//! the same bytes an L1 warm hit would, so promotion through L2 cannot
+//! perturb served bits in any precision mode (asserted per-mode by
+//! `tests/serving_equivalence.rs`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use relgraph_gnn::{EmbeddingStore, EmbeddingStore32};
+use relgraph_gnn::EmbeddingStore;
 use relgraph_obs as obs;
 
 use crate::cache::EmbeddingCache;
+use crate::codec::{QuantizedRow, RowCodec};
 use crate::epoch::EpochCell;
 use crate::invalidate::{InvalidationPlan, PlanFilter};
-use crate::quant::{dequantize_row, quantize_row, QuantizedRow};
 
 /// Embedding-cache key: `(node type, node, level)`.
 type Key = (usize, usize, usize);
+
+/// Rows computed during one scoring batch, staged for [`L2Tier::promote`].
+pub type Staged = Vec<(Key, L2Row)>;
 
 /// How many promotion segments a snapshot accumulates before the next
 /// publish compacts them into one map. Probes walk segments newest-first,
@@ -69,8 +73,9 @@ type Key = (usize, usize, usize);
 /// stay cheap (one new segment, older segments shared by `Arc`).
 const MAX_SEGMENTS: usize = 8;
 
-/// One cached row in the tier, in the serving precision's canonical
-/// cached form (what the matching L1 would hold for the same key).
+/// One cached row in the tier, in the serving precision's stored form
+/// (what the matching L1 holds for the same key; see
+/// [`RowCodec::share`]).
 #[derive(Debug, Clone)]
 pub enum L2Row {
     /// Full-precision row (`Precision::F64` serving).
@@ -304,25 +309,29 @@ impl L2Tier {
     }
 }
 
-/// An [`EmbeddingStore`] layering a shard's `f64` L1 over an optional L2
-/// view for the duration of one scoring batch. Gets probe L1 then L2
-/// (refilling L1 on an L2 hit); puts go to L1 and are staged for
-/// promotion, which the shard offers via [`L2Tier::promote`] after the
-/// batch.
-pub struct TieredStore<'a> {
-    l1: &'a mut EmbeddingCache,
+/// An [`EmbeddingStore`] layering a shard's L1 over an optional L2 view
+/// for the duration of one scoring batch. Gets probe L1 then L2
+/// (refilling L1 with the stored row on an L2 hit); puts encode once, go
+/// to L1 and are staged for promotion, which the shard offers via
+/// [`L2Tier::promote`] after the batch.
+///
+/// Bit-exactness holds in every precision because both tiers hold the
+/// same codec encoding: an L2 hit decodes precisely the bytes a warm L1
+/// hit on the same key would, and `canonicalize` is the codec's.
+pub struct TieredStore<'a, C: RowCodec> {
+    l1: &'a mut EmbeddingCache<C>,
     l2: Option<&'a L2Snapshot>,
-    staged: Vec<(Key, L2Row)>,
+    staged: Staged,
     /// L1-miss lookups answered by the shared tier.
     pub l2_hits: u64,
     /// L1-miss lookups the shared tier missed too.
     pub l2_misses: u64,
 }
 
-impl<'a> TieredStore<'a> {
+impl<'a, C: RowCodec> TieredStore<'a, C> {
     /// Layer `l1` over `l2` (pass `None` to bypass the shared tier, e.g.
     /// on an epoch mismatch).
-    pub fn new(l1: &'a mut EmbeddingCache, l2: Option<&'a L2Snapshot>) -> Self {
+    pub fn new(l1: &'a mut EmbeddingCache<C>, l2: Option<&'a L2Snapshot>) -> Self {
         TieredStore {
             l1,
             l2,
@@ -334,126 +343,49 @@ impl<'a> TieredStore<'a> {
 
     /// Rows computed this batch, for [`L2Tier::promote`]. Empty when the
     /// store was built without an L2 view.
-    pub fn into_staged(self) -> Vec<(Key, L2Row)> {
+    pub fn into_staged(self) -> Staged {
         self.staged
     }
 }
 
-impl EmbeddingStore for TieredStore<'_> {
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f64>> {
+impl<C: RowCodec> EmbeddingStore<C::Scalar> for TieredStore<'_, C> {
+    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<C::Scalar>> {
         if let Some(row) = self.l1.get(ty, node, level) {
             return Some(row);
         }
-        let l2 = self.l2?;
-        match l2.get(&(ty, node, level)) {
-            Some(L2Row::F64(row)) => {
+        let key = (ty, node, level);
+        match self.l2?.get(&key).and_then(C::unshare) {
+            Some(row) => {
                 self.l2_hits += 1;
                 // Refill the L1 so the rest of the batch hits locally.
-                self.l1.put(ty, node, level, row.clone());
-                Some(row.clone())
+                self.l1.lru.insert(key, row.clone());
+                Some(C::decode(row))
             }
-            _ => {
+            None => {
                 self.l2_misses += 1;
                 None
             }
         }
     }
 
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f64>) {
+    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<C::Scalar>) {
+        let row = C::encode(emb);
         if self.l2.is_some() {
-            self.staged
-                .push(((ty, node, level), L2Row::F64(emb.clone())));
+            self.staged.push(((ty, node, level), C::share(row.clone())));
         }
-        self.l1.put(ty, node, level, emb);
-    }
-}
-
-/// The `f32`/`q8` counterpart of [`TieredStore`]: layers a shard's
-/// [`EmbeddingStore32`] L1 over an optional L2 view.
-///
-/// Bit-exactness per mode: in `f32`, hits clone the exact stored row; in
-/// `q8`, puts stage `quantize_row(raw)` — the same bytes the L1 encodes
-/// — and hits dequantize them, so an L2 hit returns precisely what a
-/// warm L1 hit on the same key would. `canonicalize` delegates to the
-/// L1, preserving the quantized tier's memoization grid.
-pub struct TieredStore32<'a> {
-    l1: &'a mut dyn EmbeddingStore32,
-    l2: Option<&'a L2Snapshot>,
-    quantized: bool,
-    staged: Vec<(Key, L2Row)>,
-    /// L1-miss lookups answered by the shared tier.
-    pub l2_hits: u64,
-    /// L1-miss lookups the shared tier missed too.
-    pub l2_misses: u64,
-}
-
-impl<'a> TieredStore32<'a> {
-    /// Layer `l1` over `l2`. `quantized` selects the staged encoding —
-    /// it must match the L1's (true for the `q8` tier).
-    pub fn new(
-        l1: &'a mut dyn EmbeddingStore32,
-        l2: Option<&'a L2Snapshot>,
-        quantized: bool,
-    ) -> Self {
-        TieredStore32 {
-            l1,
-            l2,
-            quantized,
-            staged: Vec::new(),
-            l2_hits: 0,
-            l2_misses: 0,
-        }
+        self.l1.lru.insert((ty, node, level), row);
     }
 
-    /// Rows computed this batch, for [`L2Tier::promote`].
-    pub fn into_staged(self) -> Vec<(Key, L2Row)> {
-        self.staged
-    }
-}
-
-impl EmbeddingStore32 for TieredStore32<'_> {
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f32>> {
-        if let Some(row) = self.l1.get(ty, node, level) {
-            return Some(row);
-        }
-        let l2 = self.l2?;
-        let row = match l2.get(&(ty, node, level)) {
-            Some(L2Row::F32(row)) => row.clone(),
-            Some(L2Row::Q8(q)) => dequantize_row(q),
-            _ => {
-                self.l2_misses += 1;
-                return None;
-            }
-        };
-        self.l2_hits += 1;
-        // Refill the L1. In q8 this re-quantizes an already-quantized
-        // row; dequantize∘quantize is idempotent (proptested in `quant`),
-        // so the refilled entry's bits match the original warm entry.
-        self.l1.put(ty, node, level, row.clone());
-        Some(row)
-    }
-
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f32>) {
-        if self.l2.is_some() {
-            let row = if self.quantized {
-                L2Row::Q8(quantize_row(&emb))
-            } else {
-                L2Row::F32(emb.clone())
-            };
-            self.staged.push(((ty, node, level), row));
-        }
-        self.l1.put(ty, node, level, emb);
-    }
-
-    fn canonicalize(&self, emb: Vec<f32>) -> Vec<f32> {
-        self.l1.canonicalize(emb)
+    fn canonicalize(&self, emb: Vec<C::Scalar>) -> Vec<C::Scalar> {
+        C::canonicalize(emb)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::{EmbeddingCache32, QuantizedEmbeddingCache};
+    use crate::cache::CacheSlice;
+    use crate::codec::{Identity, Q8};
 
     fn rows(n: usize) -> Vec<(Key, L2Row)> {
         (0..n)
@@ -559,7 +491,7 @@ mod tests {
         let tier = L2Tier::new(64);
         tier.promote(0, vec![((0, 7, 1), L2Row::F64(vec![3.25, -1.5]))]);
         let snap = tier.load();
-        let mut l1 = EmbeddingCache::new(16);
+        let mut l1 = EmbeddingCache::<Identity<f64>>::new(16);
         let mut store = TieredStore::new(&mut l1, Some(&snap));
         assert_eq!(store.get(0, 7, 1), Some(vec![3.25, -1.5]));
         assert_eq!(store.l2_hits, 1);
@@ -574,22 +506,22 @@ mod tests {
     fn tiered_store_q8_roundtrips_the_l1_bits() {
         let raw = vec![0.125f32, -2.5, 7.75, 0.0];
         // What a warm L1 hit would return.
-        let mut plain = QuantizedEmbeddingCache::new(16);
+        let mut plain = EmbeddingCache::<Q8>::new(16);
         plain.put(0, 1, 1, raw.clone());
         let expect = plain.get(0, 1, 1).unwrap();
 
         // Shard A computes and stages through a tiered store.
         let tier = L2Tier::new(64);
         let snap0 = tier.load();
-        let mut l1a = QuantizedEmbeddingCache::new(16);
-        let mut store_a = TieredStore32::new(&mut l1a, Some(&snap0), true);
+        let mut l1a = EmbeddingCache::<Q8>::new(16);
+        let mut store_a = TieredStore::new(&mut l1a, Some(&snap0));
         store_a.put(0, 1, 1, raw.clone());
         tier.promote(0, store_a.into_staged());
 
         // Shard B reads the promoted row: bits must match the warm hit.
         let snap = tier.load();
-        let mut l1b = QuantizedEmbeddingCache::new(16);
-        let mut store_b = TieredStore32::new(&mut l1b, Some(&snap), true);
+        let mut l1b = EmbeddingCache::<Q8>::new(16);
+        let mut store_b = TieredStore::new(&mut l1b, Some(&snap));
         let got = store_b.get(0, 1, 1).unwrap();
         assert_eq!(
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -609,20 +541,20 @@ mod tests {
     fn tiered_store_f32_clones_exact_rows() {
         let tier = L2Tier::new(64);
         let snap0 = tier.load();
-        let mut l1a = EmbeddingCache32::new(16);
-        let mut store_a = TieredStore32::new(&mut l1a, Some(&snap0), false);
+        let mut l1a = EmbeddingCache::<Identity<f32>>::new(16);
+        let mut store_a = TieredStore::new(&mut l1a, Some(&snap0));
         store_a.put(0, 3, 2, vec![1.5f32, -0.25]);
         tier.promote(0, store_a.into_staged());
 
         let snap = tier.load();
-        let mut l1b = EmbeddingCache32::new(16);
-        let mut store_b = TieredStore32::new(&mut l1b, Some(&snap), false);
+        let mut l1b = EmbeddingCache::<Identity<f32>>::new(16);
+        let mut store_b = TieredStore::new(&mut l1b, Some(&snap));
         assert_eq!(store_b.get(0, 3, 2), Some(vec![1.5f32, -0.25]));
     }
 
     #[test]
     fn store_without_l2_view_stages_nothing() {
-        let mut l1 = EmbeddingCache::new(16);
+        let mut l1 = EmbeddingCache::<Identity<f64>>::new(16);
         let mut store = TieredStore::new(&mut l1, None);
         store.put(0, 0, 0, vec![1.0]);
         assert!(store.get(0, 9, 9).is_none());

@@ -9,16 +9,23 @@
 //!   predictions + hop-ℓ node embeddings) with **precise delta
 //!   invalidation**: each ingested batch marks exactly the nodes whose
 //!   inputs changed and evicts cached state within k hops of them, so
-//!   cache-warm predictions stay bit-identical to a cold rebuild;
+//!   cache-warm predictions stay bit-identical to a cold rebuild; and
+//!   [`predict_batch_cached`], the one cache-aware scorer every precision
+//!   and every shard runs (each engine picks its precision's walk model
+//!   and codec in one place);
 //! * [`batcher`] — [`MicroBatcher`]: size- and deadline-bounded request
 //!   coalescing, feeding the deduplicating batch inference path in
 //!   `relgraph-gnn`;
-//! * [`cache`] — the bounded [`Lru`] both tiers are built from, plus
-//!   [`CacheStats`] accounting surfaced in run reports;
+//! * [`cache`] — the bounded [`Lru`] both tiers are built from, the one
+//!   [`EmbeddingCache`] (generic over its [`RowCodec`]; [`CacheSlice`] is
+//!   its codec-free face for invalidation and stats), plus [`CacheStats`]
+//!   accounting surfaced in run reports;
+//! * [`codec`] — the [`RowCodec`]s embedding rows are stored through, one
+//!   per `--precision`: [`Identity<f64>`], [`Identity<f32>`] and the 8-bit
+//!   quantized [`Q8`]; a codec's round trip is the cache's
+//!   `canonicalize`, which keeps warm ≡ cold bitwise in every mode (the
+//!   tolerance story is in `DESIGN.md` §15);
 //! * [`protocol`] — the `relgraph serve` JSONL wire format;
-//! * [`quant`] — reduced-precision embedding tiers ([`EmbeddingTier`]):
-//!   `f32` and 8-bit quantized rows backing the `--precision f32|q8`
-//!   serving modes, with a tolerance story spelled out in `DESIGN.md` §15;
 //! * [`sharded`] — [`ShardedEngine`]: the concurrent tier — per-core
 //!   cache shards draining fused job batches against epoch-swapped graph
 //!   snapshots ([`epoch`]), with one writer publishing deltas as
@@ -27,7 +34,8 @@
 //! * [`l2`] — [`L2Tier`]: the shared read-mostly hop-k embedding tier
 //!   under the per-shard L1s — hub neighborhoods are embedded once and
 //!   read lock-free by every shard, with the same epoch-tagged
-//!   publication and `(v, ℓ)` invalidation rule as the L1s;
+//!   publication and `(v, ℓ)` invalidation rule as the L1s; one
+//!   [`TieredStore`] layers an L1 over it in any precision;
 //! * [`steal`] — [`InboxSet`]: bounded per-shard job inboxes with
 //!   steal-on-idle draining, so a hot-keyed client cannot serialize the
 //!   tier;
@@ -60,6 +68,7 @@
 pub mod affinity;
 pub mod batcher;
 pub mod cache;
+pub mod codec;
 pub mod engine;
 pub mod epoch;
 pub mod error;
@@ -67,31 +76,26 @@ pub mod invalidate;
 pub mod l2;
 pub mod persist;
 pub mod protocol;
-pub mod quant;
 pub mod server;
 pub mod sharded;
 pub mod steal;
 
 pub use affinity::{pin_current_thread, PinOutcome};
 pub use batcher::MicroBatcher;
-pub use cache::{CacheStats, EmbeddingCache, Lru};
+pub use cache::{CacheSlice, CacheStats, EmbeddingCache, Lru};
+pub use codec::{dequantize_row, quantize_row, Identity, QuantizedRow, RowCodec, Q8};
 pub use engine::{
-    predict_batch_cached, predict_batch_cached32, GroupIngestOutcome, IngestOutcome, ServeConfig,
-    ServeEngine,
+    predict_batch_cached, GroupIngestOutcome, IngestOutcome, ServeConfig, ServeEngine,
 };
 pub use epoch::EpochCell;
 pub use error::{ServeError, ServeResult};
 pub use invalidate::{InvalidationPlan, PlanFilter};
-pub use l2::{L2Row, L2Snapshot, L2Tier, TieredStore, TieredStore32};
+pub use l2::{L2Row, L2Snapshot, L2Tier, Staged, TieredStore};
 pub use persist::{
     load_model, save_engine, save_model, warm_engine, warm_sharded, warm_sharded_partial,
     ModelSnapshot, PartialWarmBoot, WarmBootReport,
 };
 pub use protocol::{parse_request, recover_id, response_err, response_ok, Request};
-pub use quant::{
-    dequantize_row, quantize_row, EmbeddingCache32, EmbeddingTier, QuantizedEmbeddingCache,
-    QuantizedRow,
-};
 pub use server::{bind, handle_line, ServerListener};
 pub use sharded::{GraphSnapshot, ShardedEngine, PLAN_HISTORY};
 pub use steal::{Drain, InboxSet};

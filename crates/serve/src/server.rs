@@ -148,10 +148,15 @@ fn handle_connection(engine: &ShardedEngine, stream: Box<dyn ReadWriteStream>) {
     }
 }
 
-/// One protocol line → one response line (no trailing newline). Shared by
-/// the socket handlers and the stdin front-end so the two modes cannot
-/// drift: parse, score through the sharded tier, and on a parse failure
-/// still recover the caller's id when it is legible.
+/// One protocol line → one response line (no trailing newline): parse,
+/// score through the sharded tier, and on a parse failure still recover
+/// the caller's id when it is legible. The socket handlers call this once
+/// per line. The stdin front-end of `relgraph serve` does not: it runs its
+/// own [`MicroBatcher`](crate::MicroBatcher) loop and scores each batch
+/// with one [`ShardedEngine::predict_batch_keys`] call. What the two
+/// share is the [`protocol`](crate::protocol) functions (parse,
+/// response serialization, id recovery) and the engine's scoring, so the
+/// wire format and the served values agree; batching and queueing differ.
 pub fn handle_line(engine: &ShardedEngine, line: &str) -> String {
     match parse_request(line) {
         Ok(req) => {

@@ -32,11 +32,9 @@ use std::sync::{Mutex, OnceLock};
 use proptest::prelude::*;
 use relgraph::datagen::{generate_ecommerce, EcommerceConfig};
 use relgraph::db2graph::{build_graph, ConvertOptions};
-use relgraph::gnn::{
-    predict_nodes, predict_nodes_f32, InferModel32, NoCache, NoCache32, Precision,
-};
+use relgraph::gnn::{predict_nodes, InferModel32, NoCache, Precision};
 use relgraph::pq::ExecConfig;
-use relgraph::serve::{QuantizedEmbeddingCache, ServeConfig, ServeEngine, ShardedEngine};
+use relgraph::serve::{EmbeddingCache, ServeConfig, ServeEngine, ShardedEngine, Q8};
 use relgraph::store::{IngestPolicy, Row, RowBatch, Value};
 
 const QUERY: &str = "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id";
@@ -218,10 +216,10 @@ proptest! {
         let cold_f64 = predict_nodes(&model, &scratch, node_type, &rows, anchor, &mut NoCache);
         let m32 = InferModel32::from_model(&model);
         let cold_f32 =
-            predict_nodes_f32(&m32, &scratch, node_type, &rows, anchor, &mut NoCache32);
+            predict_nodes(&m32, &scratch, node_type, &rows, anchor, &mut NoCache);
         let cold_q8 = {
-            let mut fresh = QuantizedEmbeddingCache::new(ServeConfig::default().embedding_cache);
-            predict_nodes_f32(&m32, &scratch, node_type, &rows, anchor, &mut fresh)
+            let mut fresh = EmbeddingCache::<Q8>::new(ServeConfig::default().embedding_cache);
+            predict_nodes(&m32, &scratch, node_type, &rows, anchor, &mut fresh)
         };
         let cold = [&cold_f64, &cold_f32, &cold_q8];
 

@@ -26,11 +26,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use proptest::prelude::*;
 use relgraph::datagen::{generate_ecommerce, EcommerceConfig};
 use relgraph::db2graph::{build_graph, ConvertOptions};
-use relgraph::gnn::{
-    predict_nodes, predict_nodes_f32, InferModel32, NoCache, NoCache32, Precision,
-};
+use relgraph::gnn::{predict_nodes, InferModel32, NoCache, Precision};
 use relgraph::pq::ExecConfig;
-use relgraph::serve::{QuantizedEmbeddingCache, ServeConfig, ServeEngine, ShardedEngine};
+use relgraph::serve::{EmbeddingCache, ServeConfig, ServeEngine, ShardedEngine, Q8};
 use relgraph::store::{Database, IngestPolicy, Row, RowBatch, Value};
 
 const QUERY: &str = "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id";
@@ -355,12 +353,12 @@ proptest! {
             expected[0].push(predict_nodes(
                 &model, &scratch, node_type, &rows, anchor, &mut NoCache,
             ));
-            expected[1].push(predict_nodes_f32(
-                &m32, &scratch, node_type, &rows, anchor, &mut NoCache32,
+            expected[1].push(predict_nodes(
+                &m32, &scratch, node_type, &rows, anchor, &mut NoCache,
             ));
             let mut fresh =
-                QuantizedEmbeddingCache::new(ServeConfig::default().embedding_cache);
-            expected[2].push(predict_nodes_f32(
+                EmbeddingCache::<Q8>::new(ServeConfig::default().embedding_cache);
+            expected[2].push(predict_nodes(
                 &m32, &scratch, node_type, &rows, anchor, &mut fresh,
             ));
         }
