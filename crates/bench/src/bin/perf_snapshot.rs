@@ -59,11 +59,11 @@ fn floor_spec(section: &str, shards: usize) -> (f64, &'static str) {
         // allowance at all — `8·dim / (dim + 8)` must reach 4x.
         "cache_capacity" => (4.0, "q8"),
         // Sharded tier vs the 1-shard configuration under 4 concurrent
-        // clients: pure thread scaling (now with work-stealing routing and
-        // the shared L2 tier), so the floor depends on how many cores the
-        // host actually gave us. 1.5 is the conservative CI floor at 4+
-        // shards — real hosts show 2x+, but steal contention and the L2
-        // gate put a sliver of shared state back on the read path.
+        // clients: pure thread scaling (each client scores inline under
+        // the slice locks its rows route to), so the floor depends on how
+        // many cores the host actually gave us. 1.5 is the conservative CI
+        // floor at 4+ shards; clients whose rows share a slice still
+        // serialize on its lock.
         "serving_concurrent" if shards >= 4 => (1.5, "f64"),
         "serving_concurrent" if shards >= 2 => (1.2, "f64"),
         "serving_concurrent" => (0.8, "f64"),

@@ -2,23 +2,19 @@
 //!
 //! ```text
 //! cargo run --release -p relgraph-bench --bin serve_scale -- \
-//!     [--clients N] [--shards N] [--floor X] [--affinity-diff]
+//!     [--clients N] [--shards N] [--floor X]
 //! ```
 //!
 //! Fits one quick model, then measures the *identical* concurrent client
 //! protocol (same client count, same per-client request streams, same
 //! batch size, same warmup) against a 1-shard engine and an N-shard
-//! engine, **sequentially** — each engine is built, warmed, timed, and
-//! dropped before the other exists, so one side's idle inbox parks never
-//! pollute the other side's cores. Prints requests/s for both and the
+//! engine, one after the other: each engine is built, warmed, timed, and
+//! dropped before the next is built. Prints requests/s for both and the
 //! scaling ratio.
 //!
 //! Correctness is asserted, not assumed: both configurations must serve
-//! bitwise-identical predictions for the full stream (the sharded tier's
-//! L2 handoff, work stealing, and routing are all supposed to be
-//! invisible in the output bits). With `--affinity-diff`, the N-shard
-//! engine is additionally run with core-affinity placement on and off and
-//! the two responses are compared byte for byte.
+//! bitwise-identical predictions for the full stream (routing rows to
+//! cache slices must be invisible in the output bits).
 //!
 //! Exit status: non-zero when `--floor X` is given and the N-shard /
 //! 1-shard throughput ratio falls below `X`, or when any bitwise
@@ -34,7 +30,6 @@ struct Args {
     clients: usize,
     shards: usize,
     floor: f64,
-    affinity_diff: bool,
 }
 
 fn parse_args() -> Args {
@@ -45,7 +40,6 @@ fn parse_args() -> Args {
             .unwrap_or(1)
             .min(8),
         floor: 0.0,
-        affinity_diff: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -58,7 +52,6 @@ fn parse_args() -> Args {
             "--clients" => out.clients = num("--clients") as usize,
             "--shards" => out.shards = num("--shards") as usize,
             "--floor" => out.floor = num("--floor"),
-            "--affinity-diff" => out.affinity_diff = true,
             other => panic!("unknown flag `{other}` (see the module docs)"),
         }
     }
@@ -117,17 +110,14 @@ fn main() {
     let node_type0 = engine.node_type();
     let metrics0 = engine.metrics_owned();
     drop(engine);
-    let make = |shards: usize, affinity: bool| {
+    let make = |shards: usize| {
         ShardedEngine::from_fitted(
             db0.clone(),
             query0.clone(),
             model0.clone(),
             node_type0,
             metrics0.clone(),
-            ServeConfig {
-                affinity,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
             shards,
         )
         .expect("assemble sharded engine")
@@ -169,18 +159,17 @@ fn main() {
         })
     };
 
-    // Sequential measurement: the 1-shard engine is gone before the
-    // N-shard engine spawns its workers, and vice versa.
+    // One engine at a time: the 1-shard engine is dropped before the
+    // N-shard engine is built.
     let (bits_single, secs_single) = {
-        let single = make(1, false);
+        let single = make(1);
         let bits = response_bits(&single);
         (bits, best_secs(|| run_clients(&single)))
     };
-    let (bits_multi, secs_multi, steals) = {
-        let multi = make(args.shards, false);
+    let (bits_multi, secs_multi) = {
+        let multi = make(args.shards);
         let bits = response_bits(&multi);
-        let secs = best_secs(|| run_clients(&multi));
-        (bits, secs, multi.steals())
+        (bits, best_secs(|| run_clients(&multi)))
     };
 
     let total = (args.clients * stream.len()) as f64;
@@ -195,7 +184,7 @@ fn main() {
     );
     println!("  shards=1            {rps_single:>12.0} req/s");
     println!(
-        "  shards={:<2} (steals={steals}) {rps_multi:>11.0} req/s",
+        "  shards={:<2}           {rps_multi:>12.0} req/s",
         args.shards
     );
     println!("  scaling ratio: {ratio:.2}x (floor {:.2})", args.floor);
@@ -219,26 +208,6 @@ fn main() {
             args.shards,
             bits_single.len()
         );
-    }
-
-    if args.affinity_diff {
-        // Affinity placement must be invisible in the response bytes: the
-        // same engine configuration, pinned and unpinned, byte for byte.
-        let bits_off = bits_multi;
-        let bits_on = {
-            let pinned = make(args.shards, true);
-            best_secs(|| run_clients(&pinned)); // exercise pinned workers
-            response_bits(&pinned)
-        };
-        if bits_off != bits_on {
-            eprintln!(
-                "FAIL: --affinity changed response bytes at {} shards",
-                args.shards
-            );
-            failed = true;
-        } else {
-            println!("  affinity-diff: responses byte-identical with pinning on/off");
-        }
     }
 
     if args.floor > 0.0 && ratio < args.floor {

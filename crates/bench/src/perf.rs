@@ -557,38 +557,32 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
         let model0 = engine.model_handle();
         let node_type0 = engine.node_type();
         let metrics0 = engine.metrics_owned();
-        let make_sharded_cfg = |n: usize, cfg: ServeConfig| {
+        let make_sharded = |n: usize| {
             ShardedEngine::from_fitted(
                 db0.clone(),
                 query0.clone(),
                 model0.clone(),
                 node_type0,
                 metrics0.clone(),
-                cfg,
+                ServeConfig::default(),
                 n,
             )
             .expect("assemble sharded engine")
         };
-        let make_sharded = |n: usize| make_sharded_cfg(n, ServeConfig::default());
 
         // --- serving_concurrent: `clients` concurrent client threads
         // hammering the tier. Before: a single shard, so every client
-        // funnels into one worker and its one cache slice. After: one
-        // shard per core (capped at 8) with the shared L2 tier and
-        // core-affinity placement — the full scale-out configuration.
-        // Both sides are measured under the *identical* protocol: the
-        // same client count, the same per-client request stream and batch
-        // size, and the same warmup (one untimed full pass inside
-        // `best_secs` warms every cache tier). Crucially the two engines
-        // are measured **sequentially** — each is built, warmed, timed,
-        // and dropped before the other exists — because shard workers
-        // poll their inboxes with short timed parks when idle, and an
-        // idle engine's wakeups would otherwise pollute the other side's
-        // measurement on shared cores. (That co-existence was exactly the
-        // bug that produced the historical sub-1.0x reading for this
-        // section.) On a single-core host the two configurations still
-        // run on the same silicon and the ratio is ~1.0 by construction;
-        // the ≥2x acceptance floor only applies when `shards` >= 4.
+        // contends for one slice lock. After: one shard per core (capped
+        // at 8), so clients whose rows route to different slices score in
+        // parallel, each on its own thread. Both sides are measured under
+        // the *identical* protocol: the same client count, the same
+        // per-client request stream and batch size, and the same warmup
+        // (one untimed full pass inside `best_secs` warms every cache
+        // tier). The two engines are measured one after the other, each
+        // built, warmed, timed and dropped before the next is built. On a
+        // single-core host the two configurations run on the same silicon
+        // and the ratio is ~1.0 by construction; the acceptance floor only
+        // applies when `shards` >= 4.
         {
             let batch = engine.config().max_batch;
             let run_clients = |eng: &ShardedEngine| {
@@ -623,13 +617,7 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
                 best_secs(reps, || run_clients(&single))
             };
             let after = {
-                let multi = make_sharded_cfg(
-                    shard_target,
-                    ServeConfig {
-                        affinity: true,
-                        ..ServeConfig::default()
-                    },
-                );
+                let multi = make_sharded(shard_target);
                 best_secs(reps, || run_clients(&multi))
             };
             let total = (clients * stream.len()) as f64;

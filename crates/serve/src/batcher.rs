@@ -9,17 +9,13 @@
 //!
 //! A **zero** deadline selects greedy draining: the batch takes whatever
 //! is already queued (up to `max_batch`) and closes without waiting at
-//! all. (The sharded tier's workers no longer sit on a channel at all —
-//! they drain their [`InboxSet`](crate::steal::InboxSet) inboxes
-//! directly, which is the same greedy policy over stealable queues; this
-//! batcher remains the front door for the CLI's stdin/TCP request
-//! streams, whose drained batches are pushed straight into those
-//! inboxes by `predict_batch_*`.)
+//! all. This batcher is the front door for the CLI's stdin request
+//! stream; each drained batch is scored with one `predict_batch_*` call
+//! on the sharded tier.
 //!
 //! Saturation is observable: every batch that closes *full* with work
-//! still queued bumps `serve.batcher.full_drains` — the same counter the
-//! shard workers bump on saturated inbox drains — so sustained queue
-//! pressure shows up in run reports wherever batching happens.
+//! still queued bumps `serve.batcher.full_drains`, so sustained queue
+//! pressure shows up in run reports.
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};

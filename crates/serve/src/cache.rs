@@ -186,10 +186,11 @@ pub struct CacheStats {
     pub embedding_misses: u64,
     /// Embedding-tier entries displaced by capacity pressure.
     pub embedding_evictions: u64,
-    /// L1-miss embedding lookups answered by the shared L2 tier.
+    /// Always 0: the shared L2 tier is gone. Kept only because
+    /// `perfbench` reads it (`cache.l2_hit_ratio`).
     pub l2_hits: u64,
-    /// L1-miss embedding lookups the shared L2 tier missed too (the
-    /// embedding was recomputed).
+    /// Always 0, like [`l2_hits`](Self::l2_hits), and kept for the same
+    /// reason.
     pub l2_misses: u64,
     /// Embedding entries dropped by precise delta invalidation.
     pub invalidated_embeddings: u64,
@@ -212,15 +213,8 @@ impl CacheStats {
         (total > 0).then(|| self.embedding_hits as f64 / total as f64)
     }
 
-    /// Shared-L2 hit rate among L1 misses that consulted the tier, in
-    /// `[0, 1]`, or `None` when L2 was never consulted.
-    pub fn l2_hit_rate(&self) -> Option<f64> {
-        let total = self.l2_hits + self.l2_misses;
-        (total > 0).then(|| self.l2_hits as f64 / total as f64)
-    }
-
     /// Fold `other` into `self` field-wise. The sharded tier aggregates
-    /// per-shard slices with this before publishing, so the run report's
+    /// per-slice stats with this before publishing, so the run report's
     /// cache section is the sum over shards, counted exactly once.
     pub fn merge(&mut self, other: &CacheStats) {
         self.prediction_hits += other.prediction_hits;
@@ -229,8 +223,6 @@ impl CacheStats {
         self.embedding_hits += other.embedding_hits;
         self.embedding_misses += other.embedding_misses;
         self.embedding_evictions += other.embedding_evictions;
-        self.l2_hits += other.l2_hits;
-        self.l2_misses += other.l2_misses;
         self.invalidated_embeddings += other.invalidated_embeddings;
         self.invalidated_predictions += other.invalidated_predictions;
         self.flushes += other.flushes;
@@ -256,8 +248,6 @@ impl CacheStats {
             ("serve.cache.embedding.hits", self.embedding_hits),
             ("serve.cache.embedding.misses", self.embedding_misses),
             ("serve.cache.embedding.evictions", self.embedding_evictions),
-            ("serve.l2.hits", self.l2_hits),
-            ("serve.l2.misses", self.l2_misses),
         ] {
             relgraph_obs::counter_to(name, value);
         }
@@ -266,9 +256,6 @@ impl CacheStats {
         }
         if let Some(r) = self.embedding_hit_rate() {
             relgraph_obs::gauge("serve.cache.embedding.hit_rate", r);
-        }
-        if let Some(r) = self.l2_hit_rate() {
-            relgraph_obs::gauge("serve.l2.hit_rate", r);
         }
     }
 }
@@ -298,9 +285,7 @@ pub trait CacheSlice: Send {
 /// [`relgraph_gnn::predict_nodes`] as its [`EmbeddingStore`]. Its
 /// `canonicalize` is the codec round trip.
 pub struct EmbeddingCache<C: RowCodec> {
-    /// Rows in stored form (the tiered store moves them to and from L2
-    /// without re-encoding).
-    pub(crate) lru: Lru<(usize, usize, usize), C::Stored>,
+    lru: Lru<(usize, usize, usize), C::Stored>,
     /// Lookups answered from cache.
     pub hits: u64,
     /// Lookups that missed.

@@ -1,7 +1,6 @@
 //! Row codecs: how the serving caches store an embedding row.
 //!
-//! Every embedding cache — the per-shard L1 ([`EmbeddingCache`]) and the
-//! shared L2 ([`L2Tier`](crate::L2Tier)) — stores rows through one
+//! Every embedding cache ([`EmbeddingCache`]) stores rows through one
 //! [`RowCodec`], chosen by the serving [`Precision`](relgraph_gnn::Precision):
 //!
 //! * [`Identity<f64>`] stores the `f64` rows the tape computes, as is;
@@ -25,8 +24,6 @@
 
 use std::marker::PhantomData;
 
-use crate::l2::L2Row;
-
 /// How a cache stores one embedding row of [`Self::Scalar`]s.
 ///
 /// Codecs are stateless. The contract the walk relies on:
@@ -36,16 +33,11 @@ pub trait RowCodec: Send + Sync + 'static {
     /// The scalar the inference walk computes rows in.
     type Scalar: Copy + Send + Sync + 'static;
     /// The stored form of one row.
-    type Stored: Clone + Send + Sync + 'static;
+    type Stored: Send + 'static;
     /// Encode a row for storage.
     fn encode(row: Vec<Self::Scalar>) -> Self::Stored;
     /// Decode a stored row.
     fn decode(stored: &Self::Stored) -> Vec<Self::Scalar>;
-    /// Wrap a stored row as the shared L2 tier's payload.
-    fn share(stored: Self::Stored) -> L2Row;
-    /// The stored row inside an L2 payload, if it was written by this
-    /// codec.
-    fn unshare(row: &L2Row) -> Option<&Self::Stored>;
     /// Exactly what [`decode`](Self::decode) returns after
     /// [`encode`](Self::encode) of `row`. Lossless codecs override this
     /// with the identity, skipping the round trip.
@@ -71,15 +63,6 @@ impl RowCodec for Identity<f64> {
     fn canonicalize(row: Vec<f64>) -> Vec<f64> {
         row
     }
-    fn share(stored: Vec<f64>) -> L2Row {
-        L2Row::F64(stored)
-    }
-    fn unshare(row: &L2Row) -> Option<&Vec<f64>> {
-        match row {
-            L2Row::F64(r) => Some(r),
-            _ => None,
-        }
-    }
 }
 
 impl RowCodec for Identity<f32> {
@@ -93,15 +76,6 @@ impl RowCodec for Identity<f32> {
     }
     fn canonicalize(row: Vec<f32>) -> Vec<f32> {
         row
-    }
-    fn share(stored: Vec<f32>) -> L2Row {
-        L2Row::F32(stored)
-    }
-    fn unshare(row: &L2Row) -> Option<&Vec<f32>> {
-        match row {
-            L2Row::F32(r) => Some(r),
-            _ => None,
-        }
     }
 }
 
@@ -118,15 +92,6 @@ impl RowCodec for Q8 {
     }
     fn decode(stored: &QuantizedRow) -> Vec<f32> {
         dequantize_row(stored)
-    }
-    fn share(stored: QuantizedRow) -> L2Row {
-        L2Row::Q8(stored)
-    }
-    fn unshare(row: &L2Row) -> Option<&QuantizedRow> {
-        match row {
-            L2Row::Q8(r) => Some(r),
-            _ => None,
-        }
     }
 }
 

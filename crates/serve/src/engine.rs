@@ -48,7 +48,6 @@ use crate::cache::{CacheSlice, CacheStats, EmbeddingCache, Lru};
 use crate::codec::{Identity, RowCodec, Q8};
 use crate::error::{ServeError, ServeResult};
 use crate::invalidate::{dirty_closure, evict_dirty, grown_tables, TableGrowth};
-use crate::l2::{L2Snapshot, Staged, TieredStore};
 
 /// Serving knobs: batch bounds and cache capacities.
 #[derive(Debug, Clone)]
@@ -71,16 +70,6 @@ pub struct ServeConfig {
     /// every batch commits and publishes individually (the legacy
     /// behavior).
     pub commit_window: usize,
-    /// Capacity of the shared L2 embedding tier (entries), used only by
-    /// the sharded engine: hub embeddings promoted here are read
-    /// lock-free by every shard instead of being recomputed per shard.
-    /// `0` disables the tier. Unlike the per-shard caches this budget is
-    /// *not* divided by the shard count — it is one tier.
-    pub l2_cache: usize,
-    /// Pin each shard worker to one core (`sched_setaffinity`; graceful
-    /// no-op off Linux). Placement hint only — served bits are identical
-    /// either way (`--affinity` on the CLI).
-    pub affinity: bool,
 }
 
 impl Default for ServeConfig {
@@ -92,8 +81,6 @@ impl Default for ServeConfig {
             embedding_cache: 65536,
             precision: Precision::F64,
             commit_window: 1,
-            l2_cache: 65536,
-            affinity: false,
         }
     }
 }
@@ -275,14 +262,13 @@ impl ServeEngine {
     /// input order; duplicate rows are computed once.
     pub fn predict_batch(&mut self, rows: &[usize]) -> Vec<f64> {
         let t0 = std::time::Instant::now();
-        let (out, _) = self.scorer.score(
+        let out = self.scorer.score(
             &self.graph,
             self.node_type,
             self.anchor,
             rows,
             &mut self.predictions,
             &mut self.stats,
-            None,
         );
         self.sync_stats();
         if obs::enabled() {
@@ -585,8 +571,8 @@ pub(crate) fn deploy_anchor(db: &Database) -> Timestamp {
 }
 
 /// The cache-aware fused scoring path, factored out of [`ServeEngine`] so
-/// each shard of the concurrent tier can run it against its *own* cache
-/// slice and whatever graph snapshot it currently holds. Cached
+/// each slice of the concurrent tier can run it against its *own* caches
+/// and whatever graph snapshot it has caught up to. Cached
 /// predictions short-circuit; the rest run through the deduplicating
 /// per-node walk against the embedding tier, in the model's precision.
 /// Output order matches input order; duplicate rows are computed once.
@@ -596,7 +582,7 @@ pub(crate) fn deploy_anchor(db: &Database) -> Timestamp {
 ///
 /// Batch composition never changes a value: `predict_nodes` evaluates each
 /// node as a pure function of `(type, node, level, anchor)`, which is why
-/// any partitioning of a request stream across shards — each with its own
+/// any partitioning of a request stream across slices — each with its own
 /// caches — stays bit-identical to a single engine scoring the same rows.
 #[allow(clippy::too_many_arguments)]
 pub fn predict_batch_cached<M: WalkModel + ?Sized>(
@@ -611,7 +597,8 @@ pub fn predict_batch_cached<M: WalkModel + ?Sized>(
 ) -> Vec<f64> {
     let mut out = vec![0.0f64; rows.len()];
     let mut miss_rows: Vec<usize> = Vec::new();
-    let mut miss_slot: HashMap<usize, usize> = HashMap::with_capacity(rows.len());
+    // Allocates only on the first miss: an all-hit batch stays allocation-free here.
+    let mut miss_slot: HashMap<usize, usize> = HashMap::new();
     let mut miss_positions: Vec<(usize, usize)> = Vec::new(); // (out idx, miss idx)
     for (i, &row) in rows.iter().enumerate() {
         if let Some(&p) = predictions.get(&row) {
@@ -644,12 +631,9 @@ pub fn predict_batch_cached<M: WalkModel + ?Sized>(
 
 /// A cache slice's scoring state in one precision, seen without its
 /// types: the walk model plus the embedding tier it fills. The engine
-/// holds one; each shard of the sharded tier holds its own.
+/// holds one; each slice of the sharded tier holds its own.
 pub(crate) trait Scoring: Send {
-    /// [`predict_batch_cached`] over this slice's embedding tier, layered
-    /// over the shared `l2` view when given. Returns the predictions and
-    /// the rows computed for promotion into L2 (empty without a view).
-    #[allow(clippy::too_many_arguments)]
+    /// [`predict_batch_cached`] over this slice's embedding tier.
     fn score(
         &mut self,
         graph: &HeteroGraph,
@@ -658,8 +642,7 @@ pub(crate) trait Scoring: Send {
         rows: &[usize],
         predictions: &mut Lru<usize, f64>,
         stats: &mut CacheStats,
-        l2: Option<&L2Snapshot>,
-    ) -> (Vec<f64>, Staged);
+    ) -> Vec<f64>;
 
     /// The embedding tier, for invalidation, flushes and stats.
     fn cache(&mut self) -> &mut dyn CacheSlice;
@@ -686,22 +669,17 @@ where
         rows: &[usize],
         predictions: &mut Lru<usize, f64>,
         stats: &mut CacheStats,
-        l2: Option<&L2Snapshot>,
-    ) -> (Vec<f64>, Staged) {
-        let mut store = TieredStore::new(&mut self.embeddings, l2);
-        let preds = predict_batch_cached(
+    ) -> Vec<f64> {
+        predict_batch_cached(
             &*self.model,
             graph,
             node_type,
             anchor,
             rows,
             predictions,
-            &mut store,
+            &mut self.embeddings,
             stats,
-        );
-        stats.l2_hits += store.l2_hits;
-        stats.l2_misses += store.l2_misses;
-        (preds, store.into_staged())
+        )
     }
 
     fn cache(&mut self) -> &mut dyn CacheSlice {

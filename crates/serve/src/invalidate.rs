@@ -160,7 +160,7 @@ pub struct InvalidationPlan {
     /// rebuilt, so no cached entry's inputs survived.
     pub flush: bool,
     /// `(type, node, distance)` triples to evict precisely. Shared by
-    /// every shard, hence the `Arc`.
+    /// every slice, hence the `Arc`.
     pub dirty: Arc<Vec<(usize, usize, usize)>>,
 }
 
@@ -178,7 +178,7 @@ impl InvalidationPlan {
     pub fn precise(epoch: u64, dist: &HashMap<(usize, usize), usize>) -> Self {
         let mut dirty: Vec<(usize, usize, usize)> =
             dist.iter().map(|(&(ty, node), &d)| (ty, node, d)).collect();
-        // Deterministic order so every shard applies the identical plan.
+        // Deterministic order so every slice applies the identical plan.
         dirty.sort_unstable();
         InvalidationPlan {
             epoch,
@@ -200,7 +200,7 @@ impl InvalidationPlan {
     ///   ascending), so applying it lands the cache on the same epoch the
     ///   sequence would have.
     ///
-    /// This is what lets a shard that slept through N epochs — or a writer
+    /// This is what lets a slice that missed N epochs — or a writer
     /// ingesting an N-batch group — pay one cache sweep instead of N.
     pub fn merge(plans: &[InvalidationPlan]) -> Option<InvalidationPlan> {
         let last = plans.last()?;
@@ -223,13 +223,12 @@ impl InvalidationPlan {
 }
 
 /// The normative eviction predicate of one (possibly merged) plan, in a
-/// form a *shared* cache can query per entry instead of enumerating keys.
+/// form that can be queried per entry instead of enumerating keys.
 ///
 /// [`evict_dirty`] walks the dirty list and removes levels `d..=hops` by
-/// key — the right shape for a per-shard slice, where the plan is small
-/// relative to the cache. The L2 tier inverts that: the writer sweeps the
-/// published map once and asks, per held entry, whether the plan evicts
-/// it. Both answer the same question, and this struct *is* the rule:
+/// key — the right shape for a cache slice, where the plan is small
+/// relative to the cache. This struct states the same rule per entry, and
+/// a unit test pins the two against each other:
 /// under a plan `P` (including any [`InvalidationPlan::merge`] result),
 /// a cached embedding keyed `(ty, node, level)` must be dropped **iff**
 /// `P.flush`, or `P.dirty` contains `(ty, node)` at distance `d` with
@@ -274,7 +273,7 @@ impl PlanFilter {
 /// Apply one plan's precise evictions to a cache slice: embeddings at
 /// levels `d..=hops` for every dirty node, plus the tier-1 prediction for
 /// dirty entity nodes. Returns `(embeddings_evicted, predictions_evicted)`
-/// — counts of entries actually present, so idle shards report zeros.
+/// — counts of entries actually present, so idle slices report zeros.
 /// Works on any [`CacheSlice`]: invalidation is keyed by
 /// `(type, node, level)` regardless of how the payload is encoded.
 pub fn evict_dirty(

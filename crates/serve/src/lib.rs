@@ -11,7 +11,7 @@
 //!   inputs changed and evicts cached state within k hops of them, so
 //!   cache-warm predictions stay bit-identical to a cold rebuild; and
 //!   [`predict_batch_cached`], the one cache-aware scorer every precision
-//!   and every shard runs (each engine picks its precision's walk model
+//!   and every slice runs (each engine picks its precision's walk model
 //!   and codec in one place);
 //! * [`batcher`] — [`MicroBatcher`]: size- and deadline-bounded request
 //!   coalescing, feeding the deduplicating batch inference path in
@@ -26,24 +26,15 @@
 //!   `canonicalize`, which keeps warm ≡ cold bitwise in every mode (the
 //!   tolerance story is in `DESIGN.md` §15);
 //! * [`protocol`] — the `relgraph serve` JSONL wire format;
-//! * [`sharded`] — [`ShardedEngine`]: the concurrent tier — per-core
-//!   cache shards draining fused job batches against epoch-swapped graph
-//!   snapshots ([`epoch`]), with one writer publishing deltas as
-//!   broadcast [`invalidate`] plans; any shard count is bit-identical to
-//!   one [`ServeEngine`];
-//! * [`l2`] — [`L2Tier`]: the shared read-mostly hop-k embedding tier
-//!   under the per-shard L1s — hub neighborhoods are embedded once and
-//!   read lock-free by every shard, with the same epoch-tagged
-//!   publication and `(v, ℓ)` invalidation rule as the L1s; one
-//!   [`TieredStore`] layers an L1 over it in any precision;
-//! * [`steal`] — [`InboxSet`]: bounded per-shard job inboxes with
-//!   steal-on-idle draining, so a hot-keyed client cannot serialize the
-//!   tier;
-//! * [`affinity`] — vendored `sched_setaffinity` shim behind the
-//!   `--affinity` flag: pin each shard thread (and so its caches and
-//!   inbox) to one core; graceful no-op off Linux;
+//! * [`sharded`] — [`ShardedEngine`]: the concurrent tier — hash-routed
+//!   cache slices, each behind a lock and scored inline by whichever
+//!   caller thread needs it, against epoch-swapped graph snapshots
+//!   ([`epoch`]), with one writer publishing deltas as [`invalidate`]
+//!   plans every slice replays; any shard count is bit-identical to one
+//!   [`ServeEngine`];
 //! * [`server`] — the TCP/Unix-socket JSONL front-end over the sharded
-//!   tier, one handler thread per connection.
+//!   tier, one handler thread per connection, each scoring its own
+//!   requests.
 //!
 //! ## Example
 //!
@@ -65,7 +56,6 @@
 
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod batcher;
 pub mod cache;
 pub mod codec;
@@ -73,14 +63,11 @@ pub mod engine;
 pub mod epoch;
 pub mod error;
 pub mod invalidate;
-pub mod l2;
 pub mod persist;
 pub mod protocol;
 pub mod server;
 pub mod sharded;
-pub mod steal;
 
-pub use affinity::{pin_current_thread, PinOutcome};
 pub use batcher::MicroBatcher;
 pub use cache::{CacheSlice, CacheStats, EmbeddingCache, Lru};
 pub use codec::{dequantize_row, quantize_row, Identity, QuantizedRow, RowCodec, Q8};
@@ -90,12 +77,10 @@ pub use engine::{
 pub use epoch::EpochCell;
 pub use error::{ServeError, ServeResult};
 pub use invalidate::{InvalidationPlan, PlanFilter};
-pub use l2::{L2Row, L2Snapshot, L2Tier, Staged, TieredStore};
 pub use persist::{
     load_model, save_engine, save_model, warm_engine, warm_sharded, warm_sharded_partial,
     ModelSnapshot, PartialWarmBoot, WarmBootReport,
 };
 pub use protocol::{parse_request, recover_id, response_err, response_ok, Request};
-pub use server::{bind, handle_line, ServerListener};
+pub use server::{bind, handle_line, ServerListener, MAX_LINE_BYTES};
 pub use sharded::{GraphSnapshot, ShardedEngine, PLAN_HISTORY};
-pub use steal::{Drain, InboxSet};

@@ -2,20 +2,23 @@
 //!
 //! Speaks the same one-JSON-object-per-line protocol as `relgraph serve`'s
 //! stdin mode, framed over TCP or a Unix domain socket. Each accepted
-//! connection gets its own handler thread; handlers push single-request
-//! jobs straight into the [`ShardedEngine`]'s per-shard inboxes
-//! ([`InboxSet`](crate::steal::InboxSet)), where each worker's greedy
-//! drain fuses concurrent clients' requests into shared inference
-//! batches — the fan-in is the inbox, not a lock, and an idle shard
-//! steals a backlogged neighbor's jobs so one hot connection cannot
-//! serialize the tier.
+//! connection gets its own handler thread, and that thread scores its
+//! own requests through [`ShardedEngine::predict_batch_keys`]: it locks
+//! the cache slice a request routes to, scores inline, and writes the
+//! response. Concurrent connections meet only at a slice lock, and a
+//! request arriving after another connection computed the same
+//! neighborhood hits the embeddings that computation cached.
 //!
 //! Responses on one connection are written in request order (the handler
 //! is synchronous per line), so clients may pipeline without reordering
-//! logic; the `id` echo still makes cross-checking trivial.
+//! logic; the `id` echo still makes cross-checking trivial. A request
+//! line longer than [`MAX_LINE_BYTES`] gets one error response and the
+//! connection is closed, so a client that never sends a newline cannot
+//! grow the handler's memory.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpListener;
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,6 +30,10 @@ use crate::error::{ServeError, ServeResult};
 use crate::protocol::{parse_request, recover_id, response_err, response_ok};
 use crate::sharded::ShardedEngine;
 
+/// Longest request line a socket connection may send, newline excluded.
+/// Real requests are under 100 bytes.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// A bound listening socket, not yet serving.
 pub enum ServerListener {
     /// A TCP listener (address contained a `:`).
@@ -36,8 +43,9 @@ pub enum ServerListener {
 }
 
 /// Bind `addr`: anything containing `:` is a TCP `host:port` (port `0`
-/// picks a free one), anything else is a Unix socket path (an existing
-/// stale socket file is replaced).
+/// picks a free one), anything else is a Unix socket path. A stale
+/// socket at that path is replaced; any other file there is an error and
+/// is left untouched.
 pub fn bind(addr: &str) -> ServeResult<ServerListener> {
     if addr.contains(':') {
         let l = TcpListener::bind(addr)
@@ -45,7 +53,12 @@ pub fn bind(addr: &str) -> ServeResult<ServerListener> {
         Ok(ServerListener::Tcp(l))
     } else {
         let path = PathBuf::from(addr);
-        if path.exists() {
+        if let Ok(meta) = std::fs::symlink_metadata(&path) {
+            if !meta.file_type().is_socket() {
+                return Err(ServeError::Engine(format!(
+                    "cannot bind unix `{addr}`: the path exists and is not a socket"
+                )));
+            }
             let _ = std::fs::remove_file(&path);
         }
         let l = UnixListener::bind(&path)
@@ -129,23 +142,39 @@ fn handle_connection(engine: &ShardedEngine, stream: Box<dyn ReadWriteStream>) {
     let Ok(write_half) = stream.try_clone_stream() else {
         return;
     };
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(write_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one that fits.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() != Some(&b'\n') && buf.len() > MAX_LINE_BYTES {
+            let _ = write_line(&mut writer, &response_err(None, "request line too long"));
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
+        let line = line.strip_suffix('\n').unwrap_or(line);
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
-        let response = handle_line(engine, &line);
-        if writer
-            .write_all(response.as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
-            .and_then(|_| writer.flush())
-            .is_err()
-        {
+        if write_line(&mut writer, &handle_line(engine, line)).is_err() {
             break; // client hung up mid-response
         }
     }
+}
+
+fn write_line(writer: &mut impl Write, response: &str) -> std::io::Result<()> {
+    writer.write_all(response.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 /// One protocol line → one response line (no trailing newline): parse,
@@ -167,5 +196,35 @@ pub fn handle_line(engine: &ShardedEngine, line: &str) -> String {
             }
         }
         Err(e) => response_err(recover_id(line), &e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scratch_path(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("relgraph-server-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn binding_over_a_regular_file_fails_and_keeps_its_bytes() {
+        let path = scratch_path("regular");
+        std::fs::write(&path, b"precious bytes").unwrap();
+        let err = bind(path.to_str().unwrap()).err().expect("must refuse");
+        assert!(err.to_string().contains("not a socket"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"precious bytes");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn binding_over_a_stale_socket_replaces_it() {
+        let path = scratch_path("stale");
+        let addr = path.to_str().unwrap();
+        // Dropped without `run`, so the socket file stays behind.
+        drop(bind(addr).unwrap());
+        assert!(path.exists());
+        drop(bind(addr).expect("a stale socket is replaced"));
+        std::fs::remove_file(&path).unwrap();
     }
 }

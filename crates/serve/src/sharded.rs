@@ -1,58 +1,52 @@
-//! The sharded concurrent serving tier: per-core engine shards over
-//! epoch-swapped graph snapshots.
+//! The sharded concurrent serving tier: hash-routed cache slices scored
+//! inline on the caller's thread, over epoch-swapped graph snapshots.
 //!
 //! # Shape
 //!
 //! A [`ShardedEngine`] splits the single-threaded
-//! [`ServeEngine`](crate::ServeEngine) into three roles:
+//! [`ServeEngine`](crate::ServeEngine) into two roles:
 //!
-//! * **Shards** — `N` worker threads, each exclusively owning one slice of
-//!   the two-tier cache (a prediction [`Lru`] and an
-//!   [`EmbeddingCache`](crate::EmbeddingCache) storing rows through the
-//!   configured precision's [`RowCodec`](crate::RowCodec)).
-//!   A shard drains its [`InboxSet`] inbox greedily (a lone job never
-//!   waits, a backlog fuses into one inference batch) and scores against
-//!   whatever graph snapshot it currently holds. Nothing a shard owns is shared, so
-//!   the scoring path takes **no lock**: its only synchronization is one
-//!   atomic epoch load per batch.
-//! * **The writer** — [`ShardedEngine::ingest`] (serialized by a mutex,
-//!   never contended by readers) appends rows, applies the graph delta to
-//!   a *private* copy via `update_graph_snapshot`, derives an
+//! * **Readers** — any number of caller threads. `predict_batch_*`
+//!   routes each row to one of `N` cache slices by hash
+//!   ([`shard_of`](ShardedEngine::shard_of)). A slice is a [`Mutex`] over
+//!   a prediction [`Lru`], an [`EmbeddingCache`](crate::EmbeddingCache)
+//!   storing rows through the configured precision's
+//!   [`RowCodec`](crate::RowCodec), its [`CacheStats`], and the
+//!   [`GraphSnapshot`] it has caught up to. The caller locks each slice
+//!   its rows route to and scores them itself: no worker thread, no
+//!   queue, no reply channel. Routing is **load balancing, not
+//!   correctness**: every slice can score every row, and every slice
+//!   replays every invalidation plan, so any shard count produces
+//!   bit-identical predictions (`tests/serving_equivalence.rs` sweeps
+//!   shard counts 1/2/4/8).
+//! * **The writer** — [`ShardedEngine::ingest`] (serialized by a mutex
+//!   no reader takes) appends rows, applies the graph delta to a
+//!   *private* copy via `update_graph_snapshot`, derives an
 //!   [`InvalidationPlan`], and publishes the next [`GraphSnapshot`]
 //!   through an [`EpochCell`] — the hand-rolled arc-swap. A failed delta
 //!   can only poison the writer's private copy; readers keep the old
 //!   snapshot until the rebuild publishes.
-//! * **The front-end** — `predict_batch_*` resolves keys against the
-//!   current snapshot, scatters rows into per-shard [`InboxSet`] inboxes
-//!   by hash, and gathers replies. Routing is **load balancing, not
-//!   correctness**: every shard can score every row, and invalidation
-//!   plans broadcast to all shards, so any shard count produces
-//!   bit-identical predictions (`tests/serving_equivalence.rs` sweeps
-//!   shard counts 1/2/4/8). Because placement is only preference, an
-//!   idle shard *steals* from a backlogged one — a hot-keyed client
-//!   cannot serialize the tier (`serve.steal.*` counters).
 //!
-//! Under the per-shard L1 caches sits one shared read-mostly
-//! [`L2Tier`]: hub embeddings are computed once,
-//! promoted, and read lock-free by every shard at a matching epoch —
-//! see the [`l2`](crate::l2) module docs for the coherence protocol.
-//! With `cfg.affinity`, each shard pins itself to one core
-//! ([`pin_current_thread`](crate::affinity::pin_current_thread)) so its
-//! L1 slabs and inbox stay local.
+//! # Lock, then load
+//!
+//! A caller loads the published snapshot only *while holding* the slice
+//! lock. Loads under one lock are ordered, and the cell's epoch only
+//! grows, so a slice's epoch never moves backward: its caches are never
+//! asked to hold values from two epochs at once.
 //!
 //! # Catching up
 //!
 //! Each published snapshot carries the last [`PLAN_HISTORY`] plans. A
-//! shard that slept through epochs `s+1..=e` applies exactly those plans
-//! in order; if the snapshot no longer retains plan `s+1`, the shard
-//! flushes its slice wholesale instead. A flush is always *safe* (caches
-//! only skip work, never change values), so correctness never depends on
-//! the history bound — only warm-hit rate does.
+//! slice last scored at epoch `s`, now loading epoch `e`, applies exactly
+//! plans `s+1..=e` (coalesced into one sweep) under its lock before
+//! scoring; if the snapshot no longer retains plan `s+1`, the slice
+//! flushes instead. A flush is always *safe* (caches only skip work,
+//! never change values), so correctness never depends on the history
+//! bound — only warm-hit rate does.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use relgraph_db2graph::{
     build_graph, update_graph_snapshot, ConvertOptions, GraphCursor, GraphMapping,
@@ -63,26 +57,18 @@ use relgraph_obs as obs;
 use relgraph_pq::{ExecConfig, PreparedQuery};
 use relgraph_store::{Database, IngestPolicy, RowBatch, Timestamp, Value};
 
-use crate::cache::{CacheSlice, CacheStats, Lru};
+use crate::cache::{CacheStats, Lru};
 use crate::engine::{
     deploy_anchor, scorer, GroupIngestOutcome, IngestOutcome, Scoring, ServeConfig,
 };
 use crate::epoch::EpochCell;
 use crate::error::{ServeError, ServeResult};
 use crate::invalidate::{dirty_closure, evict_dirty, grown_tables, InvalidationPlan};
-use crate::l2::L2Tier;
-use crate::steal::InboxSet;
 
-/// How many invalidation plans a snapshot retains. A shard more than this
-/// many epochs behind flushes its cache slice instead of replaying plans —
-/// a hit-rate cost, never a correctness one.
+/// How many invalidation plans a snapshot retains. A slice more than this
+/// many epochs behind flushes instead of replaying plans — a hit-rate
+/// cost, never a correctness one.
 pub const PLAN_HISTORY: usize = 8;
-
-/// Preferred depth bound of each shard's inbox, in jobs. Pushes beyond
-/// this spill to the least-loaded inbox (`serve.steal.spills`) — the
-/// back-pressure valve that keeps a hot-keyed stream from piling work on
-/// one shard faster than stealing can drain it.
-pub const INBOX_CAP: usize = 128;
 
 /// One published graph version: everything a reader needs, immutable.
 pub struct GraphSnapshot {
@@ -99,31 +85,81 @@ pub struct GraphSnapshot {
     pub plans: Vec<InvalidationPlan>,
 }
 
-/// Immutable state every thread of the tier shares.
-struct Shared {
-    model: Arc<NodeModel>,
-    node_type: NodeTypeId,
-    entity_table: String,
-    hops: usize,
-    cell: EpochCell<GraphSnapshot>,
-    /// The shared read-mostly L2 embedding tier under the per-shard L1s.
-    l2: L2Tier,
-    cfg: ServeConfig,
+/// One shard's cache slice, touched only under its shard's lock.
+struct Slice {
+    predictions: Lru<usize, f64>,
+    /// The walk model and embedding cache of the configured precision.
+    scorer: Box<dyn Scoring>,
+    stats: CacheStats,
+    /// The snapshot this slice's caches are consistent with.
+    snap: Arc<GraphSnapshot>,
 }
 
-/// A scatter job: score `rows`, send `(tag, predictions)` back. `tag` is
-/// the *routing bucket* the gather side indexed its positions by — it
-/// identifies the reply regardless of which shard actually computed it
-/// (stealing moves jobs between shards, never between buckets).
-struct Job {
-    rows: Vec<usize>,
-    tag: usize,
-    reply: Sender<(usize, Vec<f64>)>,
+impl Slice {
+    fn flush(&mut self) {
+        self.predictions.clear();
+        self.scorer.cache().clear();
+        self.stats.flushes += 1;
+    }
+
+    /// Move this slice from its snapshot to `next` by replaying `next`'s
+    /// retained plans, or flush if it fell further behind than
+    /// [`PLAN_HISTORY`].
+    fn catch_up(&mut self, next: Arc<GraphSnapshot>, hops: usize, entity_ty: usize) {
+        debug_assert!(next.epoch > self.snap.epoch);
+        let needed = self.snap.epoch + 1;
+        if next.plans.first().is_none_or(|p| p.epoch > needed) {
+            self.flush();
+        } else {
+            // Coalesce the needed plans into one equivalent plan (union of
+            // dirty sets at minimum distance, flush dominating) so a slice
+            // that missed N epochs pays one cache sweep, not N.
+            let pending: Vec<InvalidationPlan> = next
+                .plans
+                .iter()
+                .filter(|p| p.epoch >= needed)
+                .cloned()
+                .collect();
+            if pending.len() > 1 && obs::enabled() {
+                obs::add("serve.invalidate.coalesced", pending.len() as u64 - 1);
+            }
+            match InvalidationPlan::merge(&pending) {
+                Some(plan) if !plan.flush => {
+                    let (emb, pred) = evict_dirty(
+                        &plan.dirty,
+                        hops,
+                        entity_ty,
+                        &mut self.predictions,
+                        self.scorer.cache(),
+                    );
+                    self.stats.invalidated_embeddings += emb;
+                    self.stats.invalidated_predictions += pred;
+                }
+                _ => self.flush(),
+            }
+        }
+        self.snap = next;
+    }
 }
 
-struct ShardHandle {
-    stats: Arc<Mutex<CacheStats>>,
-    thread: Option<JoinHandle<()>>,
+/// A slice plus the count of callers waiting on or holding its lock.
+struct Shard {
+    slice: Mutex<Slice>,
+    callers: AtomicUsize,
+}
+
+impl Shard {
+    /// Lock the slice. A caller that panicked mid-score may have left its
+    /// caches half-written; caches only skip work, so flushing them makes
+    /// the slice correct again.
+    fn lock(&self) -> MutexGuard<'_, Slice> {
+        self.slice.lock().unwrap_or_else(|poisoned| {
+            self.slice.clear_poison();
+            let mut slice = poisoned.into_inner();
+            slice.flush();
+            slice
+        })
+    }
 }
 
 /// Mutable writer-side state, touched only under the writer mutex.
@@ -144,18 +180,23 @@ struct WriterState {
     plans: VecDeque<InvalidationPlan>,
 }
 
-/// A concurrently served predictive query: `N` cache shards, one writer,
-/// epoch-swapped snapshots. See the module docs for the full model.
+/// A concurrently served predictive query: `N` hash-routed cache slices
+/// scored by their callers, one writer, epoch-swapped snapshots. See the
+/// module docs for the full model.
 pub struct ShardedEngine {
-    shared: Arc<Shared>,
-    inboxes: Arc<InboxSet<Job>>,
-    shards: Vec<ShardHandle>,
+    model: Arc<NodeModel>,
+    node_type: NodeTypeId,
+    entity_table: String,
+    hops: usize,
+    cell: EpochCell<GraphSnapshot>,
+    cfg: ServeConfig,
+    shards: Vec<Shard>,
     writer: Mutex<WriterState>,
     metrics: Vec<(String, f64)>,
 }
 
 impl ShardedEngine {
-    /// Fit the query on `db` and serve it across `shards` worker threads.
+    /// Fit the query on `db` and serve it across `shards` cache slices.
     pub fn fit(
         db: Database,
         query_text: &str,
@@ -229,7 +270,7 @@ impl ShardedEngine {
     /// restart can re-prepare the query. Returns total bytes written.
     pub fn save_warm_start(&self, dir: &std::path::Path, query_text: &str) -> ServeResult<u64> {
         let writer = self.writer.lock().expect("writer mutex");
-        let snapshot = self.shared.cell.load();
+        let snapshot = self.cell.load();
         let graph_bytes = crate::persist::save_graph_state(
             dir,
             &snapshot.graph,
@@ -240,10 +281,10 @@ impl ShardedEngine {
             &dir.join(crate::persist::MODEL_SNAPSHOT_FILE),
             &crate::persist::ModelSnapshot {
                 query_text: query_text.to_string(),
-                node_type: self.shared.node_type,
+                node_type: self.node_type,
                 metrics: self.metrics.clone(),
-                state: self.shared.model.export(),
-                precision: self.shared.cfg.precision,
+                state: self.model.export(),
+                precision: self.cfg.precision,
             },
         )?;
         Ok(graph_bytes + model_bytes)
@@ -267,52 +308,39 @@ impl ShardedEngine {
         let anchor = deploy_anchor(&db);
         let hops = model.sampler_cfg().fanouts.len();
         let entity_table = query.analyzed().entity_table.clone();
-        let snapshot = GraphSnapshot {
+        let snapshot = Arc::new(GraphSnapshot {
             epoch: 0,
             db: db.clone(),
             graph,
             anchor,
             plans: Vec::new(),
-        };
-        let shared = Arc::new(Shared {
+        });
+        // Each slice owns an equal share of the configured cache budget,
+        // so total cache memory is shard-count invariant.
+        let pred_cap = (cfg.prediction_cache / shards).max(1);
+        let emb_cap = (cfg.embedding_cache / shards).max(1);
+        // Slices share one walk model (down-converted once, in reduced
+        // precisions) and each forks its own embedding cache from it.
+        let proto = scorer(&model, cfg.precision, 1);
+        let shards = (0..shards)
+            .map(|_| Shard {
+                slice: Mutex::new(Slice {
+                    predictions: Lru::new(pred_cap),
+                    scorer: proto.fork(emb_cap),
+                    stats: CacheStats::default(),
+                    snap: Arc::clone(&snapshot),
+                }),
+                callers: AtomicUsize::new(0),
+            })
+            .collect();
+        Ok(ShardedEngine {
             model,
             node_type,
             entity_table,
             hops,
-            cell: EpochCell::new(Arc::new(snapshot)),
-            l2: L2Tier::new(cfg.l2_cache),
+            cell: EpochCell::new(snapshot),
             cfg,
-        });
-        // Each shard owns an equal slice of the configured cache budget,
-        // so total L1 cache memory is shard-count invariant. The L2 tier
-        // is one shared structure and keeps its full budget.
-        let pred_cap = (shared.cfg.prediction_cache / shards).max(1);
-        let emb_cap = (shared.cfg.embedding_cache / shards).max(1);
-        let inboxes = Arc::new(InboxSet::new(shards, INBOX_CAP));
-        // Shards share one walk model (down-converted once, in reduced
-        // precisions) and each forks its own embedding slice from it.
-        let proto = scorer(&shared.model, shared.cfg.precision, 1);
-        let handles = (0..shards)
-            .map(|i| {
-                let scorer = proto.fork(emb_cap);
-                let stats = Arc::new(Mutex::new(CacheStats::default()));
-                let shared2 = Arc::clone(&shared);
-                let inboxes2 = Arc::clone(&inboxes);
-                let stats2 = Arc::clone(&stats);
-                let thread = std::thread::Builder::new()
-                    .name(format!("serve-shard-{i}"))
-                    .spawn(move || shard_loop(i, shared2, inboxes2, stats2, pred_cap, scorer))
-                    .expect("spawn shard worker");
-                ShardHandle {
-                    stats,
-                    thread: Some(thread),
-                }
-            })
-            .collect();
-        Ok(ShardedEngine {
-            shared,
-            inboxes,
-            shards: handles,
+            shards,
             metrics,
             writer: Mutex::new(WriterState {
                 db,
@@ -340,63 +368,58 @@ impl ShardedEngine {
 
     /// Epoch of the currently published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.shared.cell.epoch()
+        self.cell.epoch()
     }
 
     /// The currently published snapshot (readers hold it lock-free).
     pub fn snapshot(&self) -> Arc<GraphSnapshot> {
-        self.shared.cell.load()
+        self.cell.load()
     }
 
-    /// Per-shard inbox depths (jobs queued, not yet drained by a worker).
+    /// Per-shard count of callers waiting on or holding the slice lock.
+    /// Kept under its old name because `perfbench` samples it as
+    /// `sharded.queue_depth_max`; the callers are the queue now.
     pub fn queue_depths(&self) -> Vec<usize> {
-        self.inboxes.depths()
+        self.shards
+            .iter()
+            .map(|s| s.callers.load(Ordering::Relaxed))
+            .collect()
     }
 
-    /// Jobs an idle shard took from another shard's inbox.
+    /// Always 0: callers score their own rows, so nothing is stolen. Kept
+    /// only because `perfbench` reports it (`sharded.steals`).
     pub fn steals(&self) -> u64 {
-        self.inboxes.steals()
+        0
     }
 
-    /// Pushes redirected off a full preferred inbox.
+    /// Always 0: there is no inbox to spill from. Kept only because
+    /// `perfbench` reports it (`sharded.spills`).
     pub fn spills(&self) -> u64 {
-        self.inboxes.spills()
+        0
     }
 
-    /// The shared L2 embedding tier (for inspection; shards and the
-    /// writer drive it internally).
-    pub fn l2(&self) -> &L2Tier {
-        &self.shared.l2
-    }
-
-    /// Cache statistics summed across shards (each slice counted once).
+    /// Cache statistics summed across slices (each slice counted once).
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for s in &self.shards {
-            let slice = *s.stats.lock().unwrap_or_else(|p| p.into_inner());
-            total.merge(&slice);
+        for shard in &self.shards {
+            total.merge(&shard.lock().stats);
         }
         total
     }
 
-    /// Publish the shard-aggregated cache counters (idempotent; see
+    /// Publish the slice-aggregated cache counters (idempotent; see
     /// [`CacheStats::publish`]) plus per-shard queue-depth gauges.
     pub fn publish_stats(&self) {
         if !obs::enabled() {
             return;
         }
         self.stats().publish();
-        self.shared.l2.publish_stats();
-        obs::counter_to("serve.steal.steals", self.inboxes.steals());
-        obs::counter_to("serve.steal.spills", self.inboxes.spills());
-        for (i, depth) in self.inboxes.depths().into_iter().enumerate() {
+        for (i, depth) in self.queue_depths().into_iter().enumerate() {
             obs::gauge(&format!("serve.shard.{i}.queue_depth"), depth as f64);
         }
     }
 
-    /// The hash-preferred shard bucket for a row — where
-    /// [`predict_batch_rows`](Self::predict_batch_rows) enqueues it before
-    /// any stealing moves the job. Exposed so tests and capacity planning
+    /// The slice a row routes to. Exposed so tests and capacity planning
     /// can construct deliberately hot-keyed workloads.
     pub fn shard_of(&self, row: usize) -> usize {
         shard_of_row(row, self.shards.len())
@@ -408,44 +431,31 @@ impl ShardedEngine {
         Ok(w.query.deploy_entities(&w.db)?)
     }
 
-    /// Score entity rows: scatter into the hash-preferred shard inboxes
-    /// (stealing may move a job — the reply is keyed by routing bucket,
-    /// not by who computed it), gather in input order. Callable from any
-    /// number of threads at once.
+    /// Score entity rows on the calling thread: route them to their
+    /// slices, score each slice's rows under its lock, gather in input
+    /// order. Callable from any number of threads at once.
     pub fn predict_batch_rows(&self, rows: &[usize]) -> Vec<f64> {
         let t0 = std::time::Instant::now();
         let n = self.shards.len();
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, &row) in rows.iter().enumerate() {
-            let s = shard_of_row(row, n);
-            per_shard[s].push(row);
-            positions[s].push(i);
-        }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut sent = 0usize;
-        for (s, shard_rows) in per_shard.into_iter().enumerate() {
-            if shard_rows.is_empty() {
-                continue;
+        let out = if n == 1 {
+            self.score_on(0, rows)
+        } else {
+            let route: Vec<usize> = rows.iter().map(|&r| shard_of_row(r, n)).collect();
+            let mut out = vec![0.0f64; rows.len()];
+            let mut shard_rows = Vec::with_capacity(rows.len());
+            for s in 0..n {
+                shard_rows.clear();
+                shard_rows.extend(rows.iter().zip(&route).filter(|r| *r.1 == s).map(|r| r.0));
+                if shard_rows.is_empty() {
+                    continue;
+                }
+                let mut preds = self.score_on(s, &shard_rows).into_iter();
+                for (o, _) in out.iter_mut().zip(&route).filter(|o| *o.1 == s) {
+                    *o = preds.next().expect("one prediction per routed row");
+                }
             }
-            self.inboxes.push(
-                s,
-                Job {
-                    rows: shard_rows,
-                    tag: s,
-                    reply: reply_tx.clone(),
-                },
-            );
-            sent += 1;
-        }
-        drop(reply_tx);
-        let mut out = vec![0.0f64; rows.len()];
-        for _ in 0..sent {
-            let (s, preds) = reply_rx.recv().expect("shard worker replies");
-            for (&pos, p) in positions[s].iter().zip(preds) {
-                out[pos] = p;
-            }
-        }
+            out
+        };
         if obs::enabled() {
             obs::add("serve.requests", rows.len() as u64);
             obs::observe("serve.batch.occupancy", rows.len() as f64);
@@ -454,11 +464,43 @@ impl ShardedEngine {
         out
     }
 
+    /// Score `rows` (all routed to shard `s`) under that shard's lock,
+    /// catching its slice up to the published epoch first.
+    fn score_on(&self, s: usize, rows: &[usize]) -> Vec<f64> {
+        let shard = &self.shards[s];
+        shard.callers.fetch_add(1, Ordering::Relaxed);
+        let mut slice = shard.lock();
+        // Lock, then load: see the module docs. One atomic load when the
+        // slice is current; the cell's slot lock only when it moved.
+        if self.cell.epoch() != slice.snap.epoch {
+            slice.catch_up(self.cell.load(), self.hops, self.node_type.0);
+        }
+        let Slice {
+            predictions,
+            scorer,
+            stats,
+            snap,
+        } = &mut *slice;
+        let preds = scorer.score(
+            &snap.graph,
+            self.node_type,
+            snap.anchor,
+            rows,
+            predictions,
+            stats,
+        );
+        stats.prediction_evictions = predictions.evictions;
+        scorer.cache().export(stats);
+        drop(slice);
+        shard.callers.fetch_sub(1, Ordering::Relaxed);
+        preds
+    }
+
     /// Resolve primary keys against the current snapshot and score them.
     /// Unknown keys get per-request errors; the rest are still fused.
     pub fn predict_batch_keys(&self, keys: &[Value]) -> Vec<ServeResult<f64>> {
-        let snap = self.shared.cell.load();
-        let table = match snap.db.table(&self.shared.entity_table) {
+        let snap = self.cell.load();
+        let table = match snap.db.table(&self.entity_table) {
             Ok(t) => t,
             Err(e) => {
                 return keys
@@ -476,7 +518,7 @@ impl ShardedEngine {
             .map(|(key, row)| match row {
                 Some(_) => Ok(it.next().expect("one prediction per resolved row")),
                 None => Err(ServeError::UnknownEntity {
-                    table: self.shared.entity_table.clone(),
+                    table: self.entity_table.clone(),
                     key: key.to_string(),
                 }),
             })
@@ -518,7 +560,7 @@ impl ShardedEngine {
         // The previous graph version is read from the published snapshot:
         // it is immutable and this writer (serialized by the mutex above)
         // is its only publisher, so it matches the writer's cursor exactly.
-        let prev = self.shared.cell.load();
+        let prev = self.cell.load();
         let pre_lens: Vec<usize> = w.db.tables().iter().map(|t| t.len()).collect();
         let mut group = GroupIngestOutcome {
             reports: Vec::with_capacity(batches.len()),
@@ -558,7 +600,7 @@ impl ShardedEngine {
                     let new_anchor = deploy_anchor(&w.db);
                     let plan = if new_anchor != w.anchor {
                         // Anchor advance: every cached value took the anchor
-                        // as an input; every shard flushes.
+                        // as an input; every slice flushes.
                         outcome.flushed = true;
                         InvalidationPlan::flush(next_epoch)
                     } else {
@@ -568,7 +610,7 @@ impl ShardedEngine {
                             &mapping,
                             &grown,
                             &pre_features,
-                            self.shared.hops,
+                            self.hops,
                         )?;
                         outcome.dirty_nodes = dist.len();
                         InvalidationPlan::precise(next_epoch, &dist)
@@ -580,7 +622,7 @@ impl ShardedEngine {
                 }
                 Err(_) => {
                     // The failed delta only touched its private clone; rebuild
-                    // from the database and flush every shard.
+                    // from the database and every slice flushes.
                     let (graph, mapping) = build_graph(&w.db, &w.opts)?;
                     w.mapping = mapping;
                     w.cursor = GraphCursor::capture(&w.db);
@@ -590,11 +632,6 @@ impl ShardedEngine {
                     (graph, InvalidationPlan::flush(next_epoch))
                 }
             };
-        // Evict and republish the shared L2 tier *before* the graph
-        // snapshot below: a reader that acquires epoch `next_epoch` must
-        // already see an L2 at `next_epoch` (never a stale one) — see the
-        // coherence protocol in the `l2` module docs.
-        self.shared.l2.apply_plan(&plan);
         w.epoch = next_epoch;
         w.plans.push_back(plan);
         while w.plans.len() > PLAN_HISTORY {
@@ -607,24 +644,12 @@ impl ShardedEngine {
             anchor: w.anchor,
             plans: w.plans.iter().cloned().collect(),
         };
-        self.shared.cell.publish(Arc::new(snapshot));
+        self.cell.publish(Arc::new(snapshot));
         if obs::enabled() {
             obs::add("serve.ingest.dirty_nodes", outcome.dirty_nodes as u64);
             obs::add("serve.epoch.published", 1);
         }
         Ok(group)
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        // Workers drain what's queued, then `pop_batch` returns `None`.
-        self.inboxes.close();
-        for s in &mut self.shards {
-            if let Some(t) = s.thread.take() {
-                let _ = t.join();
-            }
-        }
     }
 }
 
@@ -641,145 +666,6 @@ fn shard_of_row(row: usize, shards: usize) -> usize {
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
     (x % shards as u64) as usize
-}
-
-/// One shard's worker loop: drain jobs (own inbox first, steal on idle),
-/// catch the cache slice up to the published epoch, fuse the jobs into
-/// one scoring pass layered over the shared L2 tier, reply.
-fn shard_loop(
-    index: usize,
-    shared: Arc<Shared>,
-    inboxes: Arc<InboxSet<Job>>,
-    stats_out: Arc<Mutex<CacheStats>>,
-    pred_cap: usize,
-    mut scorer: Box<dyn Scoring>,
-) {
-    if shared.cfg.affinity {
-        // Placement hint only; a Failed/Unsupported outcome changes
-        // nothing but locality.
-        let outcome = crate::affinity::pin_current_thread(index);
-        if obs::enabled() && outcome.is_pinned() {
-            obs::add("serve.affinity.pinned", 1);
-        }
-    }
-    let mut snap = shared.cell.load();
-    let mut local_epoch = snap.epoch;
-    let mut predictions: Lru<usize, f64> = Lru::new(pred_cap);
-    let mut stats = CacheStats::default();
-    let requests_name = format!("serve.shard.{index}.requests");
-    while let Some(drain) = inboxes.pop_batch(index, shared.cfg.max_batch) {
-        if drain.saturated && obs::enabled() {
-            obs::add("serve.batcher.full_drains", 1);
-        }
-        // One acquire load per drained batch; the slot lock inside
-        // `load()` is touched only when the epoch actually moved.
-        if shared.cell.epoch() != local_epoch {
-            let next = shared.cell.load();
-            catch_up(
-                &shared,
-                &next,
-                local_epoch,
-                &mut predictions,
-                scorer.cache(),
-                &mut stats,
-            );
-            local_epoch = next.epoch;
-            snap = next;
-        }
-        // The shared L2 is consulted only at a matching epoch: the
-        // writer republishes L2 *before* the graph, so a mismatch means
-        // this shard's own snapshot is what's stale — skip, never cross.
-        let l2snap = shared.l2.load();
-        let l2 = (l2snap.graph_epoch == local_epoch).then_some(&*l2snap);
-        // Fuse every drained job into one pass so concurrent clients'
-        // single-row requests still share neighborhood work.
-        let jobs = drain.items;
-        let mut rows: Vec<usize> = Vec::new();
-        let mut spans: Vec<usize> = Vec::with_capacity(jobs.len());
-        for job in &jobs {
-            rows.extend_from_slice(&job.rows);
-            spans.push(job.rows.len());
-        }
-        let (preds, staged) = scorer.score(
-            &snap.graph,
-            shared.node_type,
-            snap.anchor,
-            &rows,
-            &mut predictions,
-            &mut stats,
-            l2,
-        );
-        shared.l2.promote(local_epoch, staged);
-        // Publish stats BEFORE replying: a caller that reads
-        // `ShardedEngine::stats()` right after a returned request must
-        // see the counters that request produced, not race the sync.
-        stats.prediction_evictions = predictions.evictions;
-        scorer.cache().export(&mut stats);
-        *stats_out.lock().unwrap_or_else(|p| p.into_inner()) = stats;
-        let mut offset = 0usize;
-        for (job, span) in jobs.into_iter().zip(spans) {
-            let slice = preds[offset..offset + span].to_vec();
-            offset += span;
-            // A gatherer that gave up is not an error for the shard.
-            let _ = job.reply.send((job.tag, slice));
-        }
-        if obs::enabled() {
-            obs::add(&requests_name, rows.len() as u64);
-        }
-    }
-}
-
-/// Bring one shard's cache slice from `local_epoch` to `snap.epoch` by
-/// replaying the snapshot's retained plans, or flush if the shard fell
-/// further behind than [`PLAN_HISTORY`].
-fn catch_up(
-    shared: &Shared,
-    snap: &GraphSnapshot,
-    local_epoch: u64,
-    predictions: &mut Lru<usize, f64>,
-    embeddings: &mut dyn CacheSlice,
-    stats: &mut CacheStats,
-) {
-    debug_assert!(snap.epoch > local_epoch);
-    let needed = local_epoch + 1;
-    let retained_from = snap.plans.first().map(|p| p.epoch);
-    if retained_from.is_none_or(|from| from > needed) {
-        predictions.clear();
-        embeddings.clear();
-        stats.flushes += 1;
-        return;
-    }
-    // Coalesce the needed plans into one equivalent plan (union of dirty
-    // sets at minimum distance, flush dominating) so a shard that slept
-    // through N epochs pays one cache sweep, not N.
-    let pending: Vec<InvalidationPlan> = snap
-        .plans
-        .iter()
-        .filter(|p| p.epoch >= needed)
-        .cloned()
-        .collect();
-    let coalesced = pending.len().saturating_sub(1);
-    let Some(plan) = InvalidationPlan::merge(&pending) else {
-        return;
-    };
-    if coalesced > 0 && obs::enabled() {
-        obs::add("serve.invalidate.coalesced", coalesced as u64);
-    }
-    if plan.flush {
-        predictions.clear();
-        embeddings.clear();
-        stats.flushes += 1;
-    } else {
-        let (emb, pred) = evict_dirty(
-            &plan.dirty,
-            shared.hops,
-            shared.node_type.0,
-            predictions,
-            embeddings,
-        );
-        stats.invalidated_embeddings += emb;
-        stats.invalidated_predictions += pred;
-    }
 }
 
 #[cfg(test)]

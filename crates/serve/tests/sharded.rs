@@ -102,7 +102,7 @@ fn fit_sharded(db: Database, shards: usize) -> Fitted {
 }
 
 /// Like [`fit_sharded`] but with an explicit serving configuration, so
-/// tests can shrink cache tiers or toggle affinity.
+/// tests can shrink cache tiers.
 fn fit_sharded_cfg(db: Database, shards: usize, cfg: ServeConfig) -> Fitted {
     use relgraph_serve::ServeEngine;
     let single =
@@ -448,79 +448,18 @@ fn group_ingest_matches_sequential_ingests() {
     }
 }
 
-/// The shared L2 tier actually carries embeddings between shards: with
-/// the per-shard L1 slices squeezed to near nothing, repeat traffic must
-/// hit L2 (promotions and hits both observable), predictions must stay
-/// bitwise stable across the handoff, and after an ingest the L2's
-/// plan-driven eviction must leave exactly the entries the cold rebuild
-/// would recompute identically — at 2 and at 4 shards.
+/// A hot-keyed client population — every request routed to the same
+/// slice — contends for one slice lock, and that contention is invisible
+/// in the output bits: every prediction still matches the cold reference
+/// exactly.
 #[test]
-fn l2_tier_shares_embeddings_and_survives_ingest() {
-    for &shards in &[2usize, 4] {
-        let db0 = small_db(53);
-        // prediction_cache 1 forces every request through the embedding
-        // path; embedding_cache 8 leaves each shard an L1 slice of a few
-        // rows, so the shared L2 (full budget) must carry the working set.
-        let cfg = ServeConfig {
-            prediction_cache: 1,
-            embedding_cache: 8,
-            ..ServeConfig::default()
-        };
-        let fitted = fit_sharded_cfg(db0.clone(), shards, cfg);
-        let engine = &fitted.engine;
-        let rows = engine.deploy_entities().unwrap();
-
-        let warm1 = engine.predict_batch_rows(&rows);
-        assert!(
-            engine.l2().promotions() > 0 && !engine.l2().load().is_empty(),
-            "first pass must promote hop-k embeddings into L2 ({shards} shards)"
-        );
-        let warm2 = engine.predict_batch_rows(&rows);
-        for (a, b) in warm1.iter().zip(&warm2) {
-            assert_eq!(a.to_bits(), b.to_bits(), "L2 handoff changed bits");
-        }
-        assert!(
-            engine.stats().l2_hits > 0,
-            "repeat pass with starved L1 slices must hit the shared L2 \
-             ({shards} shards)"
-        );
-
-        // Ingest: the invalidation plan must evict L2 under the same
-        // (node, level) rule as the L1 slices. If a stale L2 row
-        // survived, the warm read below would diverge from cold.
-        let mut scratch = db0;
-        let batch = mid_span_orders(&scratch, 9_700_000, 5);
-        scratch
-            .ingest(batch_of(&batch), &IngestPolicy::coerce_all())
-            .unwrap();
-        engine
-            .ingest(batch_of(&batch), &IngestPolicy::coerce_all())
-            .unwrap();
-        let warm3 = engine.predict_batch_rows(&rows);
-        let cold = fitted.cold_predictions(&scratch, &rows);
-        for (i, (w, c)) in warm3.iter().zip(&cold).enumerate() {
-            assert_eq!(
-                w.to_bits(),
-                c.to_bits(),
-                "row {} diverged from cold after L2 invalidation ({shards} shards)",
-                rows[i]
-            );
-        }
-    }
-}
-
-/// A hot-keyed client population — every request routed to the same shard
-/// bucket — must not serialize the tier: idle shards steal the backlog,
-/// and stealing is invisible in the output bits (every prediction still
-/// matches the cold reference exactly).
-#[test]
-fn hot_keyed_load_steals_without_changing_bits() {
+fn hot_keyed_load_keeps_bits() {
     const CLIENTS: usize = 4;
     const PASSES: usize = 60;
 
     let db0 = small_db(59);
-    // prediction_cache 1: every job recomputes, so the hot inbox builds
-    // real backlog instead of draining from the prediction cache.
+    // prediction_cache 1: every request recomputes, so callers hold the
+    // hot slice's lock for real work instead of a prediction-cache hit.
     let cfg = ServeConfig {
         prediction_cache: 1,
         ..ServeConfig::default()
@@ -529,7 +468,7 @@ fn hot_keyed_load_steals_without_changing_bits() {
     let engine = Arc::clone(&fitted.engine);
     let rows = engine.deploy_entities().unwrap();
 
-    // The hottest bucket's rows: all of them hash-route to one inbox.
+    // The hottest bucket's rows: all of them hash-route to one slice.
     let hot_bucket = (0..4)
         .max_by_key(|&b| rows.iter().filter(|&&r| engine.shard_of(r) == b).count())
         .unwrap();
@@ -548,14 +487,14 @@ fn hot_keyed_load_steals_without_changing_bits() {
             let cold = &cold;
             scope.spawn(move || {
                 for _ in 0..PASSES {
-                    // Small chunks → many jobs, all for the same inbox.
+                    // Small chunks → many requests, all for the same slice.
                     for (chunk, want) in hot.chunks(2).zip(cold.chunks(2)) {
                         let got = engine.predict_batch_rows(chunk);
                         for (g, w) in got.iter().zip(want) {
                             assert_eq!(
                                 g.to_bits(),
                                 w.to_bits(),
-                                "stolen job returned different bits"
+                                "hot-keyed request returned different bits"
                             );
                         }
                     }
@@ -563,61 +502,48 @@ fn hot_keyed_load_steals_without_changing_bits() {
             });
         }
     });
-    assert!(
-        engine.steals() > 0,
-        "idle shards must have stolen from the hot inbox \
-         (steals = {}, spills = {})",
-        engine.steals(),
-        engine.spills()
-    );
 }
 
-/// Core-affinity placement is a scheduling hint, never a semantic change:
-/// the same fitted model served with pinning on and off must produce
-/// byte-identical predictions, including under concurrent clients.
+/// A socket client that never ends its line gets one error response once
+/// the line passes the cap, then EOF; the server keeps serving other
+/// connections normally.
 #[test]
-fn affinity_pinning_is_invisible_in_response_bits() {
-    use relgraph_serve::ServeEngine;
-    let db0 = small_db(61);
-    let single =
-        ServeEngine::fit(db0.clone(), QUERY, &quick_exec(), ServeConfig::default()).unwrap();
-    let model = single.model_handle();
-    let node_type = single.node_type();
-    let make = |affinity: bool| {
-        ShardedEngine::from_fitted(
-            db0.clone(),
-            single.query().clone(),
-            Arc::clone(&model),
-            node_type,
-            single.metrics_owned(),
-            ServeConfig {
-                affinity,
-                ..ServeConfig::default()
-            },
-            4,
-        )
-        .unwrap()
-    };
-    let unpinned = make(false);
-    let rows = unpinned.deploy_entities().unwrap();
-    let baseline = unpinned.predict_batch_rows(&rows);
-    drop(unpinned);
+fn oversized_request_line_is_refused_and_closed() {
+    use std::io::{BufRead, BufReader, Read, Write};
 
-    let pinned = make(true);
-    // Concurrent clients over the pinned engine: same bytes, every call.
+    let fitted = fit_sharded(small_db(67), 2);
+    let engine = &fitted.engine;
+    let listener = relgraph_serve::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr();
+    let stop = AtomicBool::new(false);
+
     std::thread::scope(|scope| {
-        for _ in 0..3 {
-            let pinned = &pinned;
-            let rows = &rows;
-            let baseline = &baseline;
-            scope.spawn(move || {
-                for _ in 0..10 {
-                    let got = pinned.predict_batch_rows(rows);
-                    for (g, b) in got.iter().zip(baseline.iter()) {
-                        assert_eq!(g.to_bits(), b.to_bits(), "affinity changed response bytes");
-                    }
-                }
-            });
-        }
+        let server = scope.spawn(|| listener.run(engine, &stop).unwrap());
+
+        // One byte past the cap and no newline: the server must answer
+        // without waiting for the rest of the line.
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        conn.write_all(&vec![b'x'; relgraph_serve::MAX_LINE_BYTES + 1])
+            .unwrap();
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).unwrap();
+        assert_eq!(reply.lines().count(), 1, "exactly one response: `{reply}`");
+        assert!(
+            reply.contains("\"error\":") && reply.contains("request line too long"),
+            "oversized line must get a structured error: `{reply}`"
+        );
+
+        let conn = std::net::TcpStream::connect(&addr).unwrap();
+        (&conn).write_all(b"{\"id\": 1, \"entity\": 3}\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(&conn).read_line(&mut line).unwrap();
+        assert!(
+            line.starts_with("{\"id\": 1, ") && line.contains("\"prediction\":"),
+            "a fresh connection must still serve: `{line}`"
+        );
+        drop(conn);
+
+        stop.store(true, Ordering::Relaxed);
+        server.join().unwrap();
     });
 }

@@ -49,11 +49,10 @@
 //!   --deadline-ms <N>   micro-batch deadline in milliseconds (default 5)
 //!   --pred-cache <N>    prediction-cache capacity, split across shards (default 4096)
 //!   --emb-cache <N>     embedding-cache capacity, split across shards (default 65536)
-//!   --shards <N>        engine shards / worker threads (default 1)
-//!   --l2-cache <N>      shared L2 embedding tier capacity, read by all
-//!                       shards (default 65536; 0 disables)
-//!   --affinity          pin each shard thread to one core
-//!                       (sched_setaffinity; no-op off Linux)
+//!   --precision <P>     inference and embedding-cache precision:
+//!                       f64 | f32 | q8 (default f64)
+//!   --shards <N>        hash-routed cache slices, each behind its own lock
+//!                       (default 1)
 //!   --commit-window <N> write-path group-commit window in batches for
 //!                       embedded ingest (default 1 = per-batch commit)
 //!   --listen <ADDR>     serve a socket instead of stdin: `host:port` (TCP)
@@ -62,10 +61,10 @@
 //! `relgraph serve` trains the query's GNN model once, then reads one JSON
 //! request per stdin line (`{"id": 7, "entity": 1042}`) and answers each
 //! with one JSON response line (`{"id": 7, "prediction": 0.83}` or
-//! `{"id": 7, "error": "…"}`). Requests are micro-batched, scattered
-//! across per-core engine shards (each owning a slice of the two-tier
-//! cache), and scored against epoch-swapped graph snapshots — predictions
-//! are bit-identical at any shard count. With `--listen`, the same
+//! `{"id": 7, "error": "…"}`). Requests are micro-batched, routed by hash
+//! to cache shards (each owning a slice of the two-tier cache), and scored
+//! on the calling thread against epoch-swapped graph snapshots —
+//! predictions are bit-identical at any shard count. With `--listen`, the same
 //! protocol is served to concurrent socket clients (one response per
 //! request line, in order per connection) until the process is killed; in
 //! stdin mode a latency/hit-rate summary lands on stderr at EOF.
@@ -663,8 +662,8 @@ struct ServeArgs {
 fn serve_usage() -> &'static str {
     "usage: relgraph serve (--data DIR | --data-dir DIR | --demo NAME) \
      --query 'PREDICT …' [--seed N] [--max-batch N] [--deadline-ms N] \
-     [--pred-cache N] [--emb-cache N] [--l2-cache N] [--precision f64|f32|q8] \
-     [--shards N] [--affinity] [--commit-window N] \
+     [--pred-cache N] [--emb-cache N] [--precision f64|f32|q8] \
+     [--shards N] [--commit-window N] \
      [--listen HOST:PORT|SOCKET_PATH] \
      (--query is optional when --data-dir holds a warm snapshot; a warm \
      snapshot's stored precision wins over --precision)"
@@ -713,11 +712,9 @@ fn parse_serve_args(it: impl Iterator<Item = String>) -> Result<ServeArgs, Strin
                     .parse()
                     .map_err(|e| format!("--precision: {e}\n{}", serve_usage()))?
             }
-            "--l2-cache" => cfg.l2_cache = number("--l2-cache", value("--l2-cache")?)? as usize,
             "--shards" => {
                 shards = (number("--shards", value("--shards")?)? as usize).max(1);
             }
-            "--affinity" => cfg.affinity = true,
             "--commit-window" => {
                 cfg.commit_window =
                     (number("--commit-window", value("--commit-window")?)? as usize).max(1);
@@ -906,8 +903,9 @@ fn run_serve(it: impl Iterator<Item = String>) -> Result<(), String> {
     };
 
     if let Some(addr) = &args.listen {
-        // Socket mode: concurrent clients, one handler thread each, all
-        // funnelled into the same shard workers. Runs until killed.
+        // Socket mode: concurrent clients, one handler thread each, each
+        // scoring its own requests against the shared cache slices. Runs
+        // until killed.
         let listener = relgraph::serve::bind(addr).map_err(|e| e.to_string())?;
         eprintln!(
             "serving on {} ({} shard(s)); one JSON request per line",

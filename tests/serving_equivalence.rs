@@ -13,11 +13,11 @@
 //! span so the deploy anchor never advances: the engine must survive on
 //! precise invalidation alone (flushing would hide eviction bugs).
 //!
-//! The final battery extends the property to the sharded tier's shared
-//! L2 embedding cache under true concurrency: with the per-shard L1
-//! slices starved, readers race the writer across every publish and must
-//! only ever observe predictions bitwise-equal to some published epoch —
-//! in `f64`, `f32`, and `q8` — before settling exactly on the last one.
+//! The final battery extends the property to the sharded tier's cache
+//! slices under true concurrency: with the slices starved, readers race
+//! the writer across every publish and must only ever observe predictions
+//! bitwise-equal to some published epoch — in `f64`, `f32`, and `q8` —
+//! before settling exactly on the last one.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -264,10 +264,10 @@ proptest! {
     }
 }
 
-/// Precision modes the L2-coherence battery covers. Kept local: the
+/// Precision modes the slice-coherence battery covers. Kept local: the
 /// cross-mode tolerance battery lives in `precision_equivalence.rs`; this
 /// file only proves within-mode bitwise coherence.
-const L2_MODES: [Precision; 3] = [Precision::F64, Precision::F32, Precision::Q8];
+const SLICE_MODES: [Precision; 3] = [Precision::F64, Precision::F32, Precision::Q8];
 
 proptest! {
     // The most expensive battery in the file: each case replays the
@@ -276,25 +276,25 @@ proptest! {
     // oracle passes per epoch state — so very few cases.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// L2 coherence under concurrency. The per-shard L1 slices are
-    /// squeezed to a few rows (`embedding_cache: 16`, `prediction_cache:
-    /// 1`) so the shared L2 tier must carry the working set across
-    /// shards. Readers hammer the engine while the writer publishes a
-    /// random schedule of in-span batches; three things must hold in
-    /// every precision mode at 2 and at 4 shards:
+    /// Slice coherence under concurrency. The cache slices are squeezed
+    /// to a few rows (`embedding_cache: 16`, `prediction_cache: 1`) so
+    /// every read recomputes and refills them. Readers hammer the engine
+    /// while the writer publishes a random schedule of in-span batches;
+    /// three things must hold in every precision mode at 2 and at 4
+    /// shards:
     ///
     /// 1. Every prediction any reader ever observes is bitwise-equal to
     ///    SOME published epoch's cold no-cache value — a reader seeing a
-    ///    stale L2 row survive an invalidation, or an L2 row promoted
-    ///    from a *newer* epoch than its shard's snapshot, would produce a
-    ///    value matching no epoch.
+    ///    stale row survive an invalidation, or a row computed at a
+    ///    *newer* epoch than its slice's snapshot, would produce a value
+    ///    matching no epoch.
     /// 2. The settled state equals the FINAL epoch exactly (warm ≡ cold
     ///    per mode, with the q8 oracle routed through the same
     ///    quantization codec warm serving uses).
-    /// 3. The L2 tier demonstrably carried traffic (promotions and
-    ///    cross-tier hits observed), so 1. and 2. actually exercised it.
+    /// 3. Readers really caught up under load: some slice invalidated
+    ///    entries or flushed, so 1. and 2. crossed epochs.
     #[test]
-    fn l2_tier_stays_epoch_coherent_under_concurrent_reads(schedule in schedule_strategy()) {
+    fn sharded_tier_stays_epoch_coherent_under_concurrent_reads(schedule in schedule_strategy()) {
         const READERS: usize = 2;
 
         // Borrow the shared fitted state; anchor and deploy rows are
@@ -347,7 +347,7 @@ proptest! {
         // Cold oracles: for each epoch state, one scratch graph compile
         // shared by all three mode oracles. `expected[mode][epoch][row]`.
         let m32 = InferModel32::from_model(&model);
-        let mut expected: Vec<Vec<Vec<f64>>> = vec![Vec::new(); L2_MODES.len()];
+        let mut expected: Vec<Vec<Vec<f64>>> = vec![Vec::new(); SLICE_MODES.len()];
         for state in &states {
             let (scratch, _) = build_graph(state, &ConvertOptions::default()).unwrap();
             expected[0].push(predict_nodes(
@@ -364,7 +364,7 @@ proptest! {
         }
 
         for &shards in &[2usize, 4] {
-            for (mi, &mode) in L2_MODES.iter().enumerate() {
+            for (mi, &mode) in SLICE_MODES.iter().enumerate() {
                 // Per-row legal bit patterns: the union over epochs.
                 let legal: Vec<HashSet<u64>> = (0..rows.len())
                     .map(|i| expected[mi].iter().map(|e| e[i].to_bits()).collect())
@@ -386,7 +386,7 @@ proptest! {
                     )
                     .unwrap(),
                 );
-                // Warm pass: promotes the working set into L2 at epoch 0.
+                // Warm pass: fills the slices at epoch 0.
                 let _ = eng.predict_batch_rows(&rows);
 
                 let writing = Arc::new(AtomicBool::new(true));
@@ -413,7 +413,7 @@ proptest! {
                                     assert!(
                                         legal[row_idx].contains(&p.to_bits()),
                                         "[{mode}] row {} returned {p}, matching no \
-                                         published epoch (stale or early L2 row?)",
+                                         published epoch (stale or early cached row?)",
                                         slice[j]
                                     );
                                 }
@@ -449,15 +449,11 @@ proptest! {
                         mode, rows[i], shards, w, c
                     );
                 }
-                // The run must actually have flowed through the L2 tier.
+                // Readers must really have caught up across epochs.
+                let stats = eng.stats();
                 prop_assert!(
-                    eng.l2().promotions() > 0,
-                    "[{}] {} shards: no L2 promotions — battery is vacuous",
-                    mode, shards
-                );
-                prop_assert!(
-                    eng.stats().l2_hits > 0,
-                    "[{}] {} shards: starved L1 slices never hit L2 — vacuous",
+                    stats.invalidated_embeddings + stats.flushes > 0,
+                    "[{}] {} shards: no slice ever caught up — battery is vacuous",
                     mode, shards
                 );
             }
