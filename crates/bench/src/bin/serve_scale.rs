@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use relgraph_datagen::{generate_ecommerce, EcommerceConfig};
 use relgraph_pq::ExecConfig;
-use relgraph_serve::{ServeConfig, ServeEngine, ShardedEngine};
+use relgraph_serve::{ServeConfig, ShardedEngine};
 
 struct Args {
     clients: usize,
@@ -91,24 +91,25 @@ fn main() {
         fanouts: vec![4, 4],
         ..Default::default()
     };
-    let engine = ServeEngine::fit(
+    let engine = ShardedEngine::fit(
         db,
         "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id",
         &exec,
         ServeConfig::default(),
+        1,
     )
     .expect("fit engine");
     let entities = engine.deploy_entities().expect("deploy entities");
     let stream: Vec<usize> = (0..1024)
         .map(|i| entities[(i * 7) % entities.len()])
         .collect();
-    let batch = engine.config().max_batch;
+    let batch = ServeConfig::default().max_batch;
 
-    let db0 = engine.db().clone();
+    let db0 = engine.snapshot().db.clone();
     let query0 = engine.query().clone();
     let model0 = engine.model_handle();
     let node_type0 = engine.node_type();
-    let metrics0 = engine.metrics_owned();
+    let metrics0 = engine.fit_metrics().to_vec();
     drop(engine);
     let make = |shards: usize| {
         ShardedEngine::from_fitted(

@@ -48,7 +48,7 @@ use relgraph_nn::{clip_global_norm, loss, Activation, Adam, Binding, Optimizer, 
 use relgraph_pq::traintable::TrainTableConfig;
 use relgraph_pq::{analyze, build_training_table, parse, ExecConfig};
 use relgraph_serve::codec::{f64_row_bytes, q8_row_bytes};
-use relgraph_serve::{ServeConfig, ServeEngine, ShardedEngine};
+use relgraph_serve::{ServeConfig, ShardedEngine};
 use relgraph_store::{
     load_database_dir, save_database_dir, CommitWindow, DataDir, IngestPolicy, Row, RowBatch, Value,
 };
@@ -489,13 +489,15 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
             fanouts: vec![4, 4],
             ..Default::default()
         };
-        let mut engine = ServeEngine::fit(
+        let engine = ShardedEngine::fit(
             serve_db,
             "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id",
             &exec,
             ServeConfig::default(),
+            1,
         )
         .expect("fit serving engine");
+        let snap0 = engine.snapshot();
         let entities = engine.deploy_entities().expect("deploy entities");
         let n_requests = if quick { 512 } else { 2048 };
         let stream: Vec<usize> = (0..n_requests)
@@ -507,7 +509,7 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
         // requests. Measured on a stride-8 subsample (it is ~3 orders of
         // magnitude slower per request) and normalized to requests/s.
         let node_type = engine.node_type();
-        let anchor = engine.anchor();
+        let anchor = snap0.anchor;
         let naive: Vec<Seed> = stream
             .iter()
             .step_by(8)
@@ -519,7 +521,7 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
             .collect();
         let before = {
             let model = engine.model();
-            let graph = engine.graph();
+            let graph = &snap0.graph;
             best_secs(reps, || {
                 let mut acc = 0.0;
                 for &seed in &naive {
@@ -532,11 +534,11 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
         // Engine path: the same stream chopped into deadline-sized
         // micro-batches, served warm (the warmup call inside `best_secs`
         // fills both cache tiers, exactly like steady-state traffic).
-        let batch = engine.config().max_batch;
+        let batch = ServeConfig::default().max_batch;
         let after = best_secs(reps, || {
             let mut acc = 0.0;
             for chunk in stream.chunks(batch) {
-                acc += engine.predict_batch(chunk).iter().sum::<f64>();
+                acc += engine.predict_batch_rows(chunk).iter().sum::<f64>();
             }
             acc
         });
@@ -549,14 +551,14 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
             after: stream.len() as f64 / after,
         });
 
-        // Shared fitted state for the sharded sections: the exact model the
-        // single-engine path just served, so every configuration scores
+        // Shared fitted state for the sections below: the exact model the
+        // one-shard engine just served, so every configuration scores
         // bit-identical predictions and the gap is pure serving machinery.
-        let db0 = engine.db().clone();
+        let db0 = snap0.db.clone();
         let query0 = engine.query().clone();
         let model0 = engine.model_handle();
         let node_type0 = engine.node_type();
-        let metrics0 = engine.metrics_owned();
+        let metrics0 = engine.fit_metrics().to_vec();
         let make_sharded = |n: usize| {
             ShardedEngine::from_fitted(
                 db0.clone(),
@@ -584,7 +586,6 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
         // and the ratio is ~1.0 by construction; the acceptance floor only
         // applies when `shards` >= 4.
         {
-            let batch = engine.config().max_batch;
             let run_clients = |eng: &ShardedEngine| {
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..clients)
@@ -636,14 +637,14 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
         // strictly inside the existing span, so the precise-invalidation
         // path runs, never a flush) followed by reads over all deploy
         // entities: every write dirties k-hop neighborhoods, so a slice of
-        // each read batch misses and recomputes. Before: the pre-shard
-        // single-threaded engine applies the burst one batch at a time —
-        // one delta + one dirty closure + one eviction sweep per batch.
-        // After: the sharded tier drains the whole burst through
-        // `ingest_group`, paying one merged closure, one snapshot
-        // publish, and one coalesced invalidation broadcast for the burst
-        // (DESIGN.md §14.8). Predictions are identical; the multiple is
-        // the coalesced write path.
+        // each read batch misses and recomputes. Before: a one-shard engine
+        // applies the burst one `ingest` at a time — one delta, one dirty
+        // closure, one snapshot publish and one plan per batch, which its
+        // slice replays (coalesced) on the next read. After: the sharded
+        // tier drains the whole burst through `ingest_group`, paying one
+        // merged closure, one snapshot publish, and one plan for the
+        // burst (DESIGN.md §14.8). Predictions are identical; the multiple
+        // is the coalesced write path plus the shard count.
         {
             let next_id = std::sync::atomic::AtomicI64::new(50_000_000);
             let (lo, hi) = db0.time_span().unwrap();
@@ -678,22 +679,14 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
             let policy = IngestPolicy::coerce_all();
             let ops = (steps * (commit_window * writes_per_batch + entities.len())) as f64;
 
-            let mut pre = ServeEngine::from_fitted(
-                db0.clone(),
-                query0.clone(),
-                model0.clone(),
-                node_type0,
-                metrics0.clone(),
-                ServeConfig::default(),
-            )
-            .expect("assemble pre-shard engine");
+            let pre = make_sharded(1);
             let before = best_secs(reps, || {
                 let mut acc = 0.0;
                 for step in 0..steps {
                     for batch in mk_burst(step) {
                         pre.ingest(batch, &policy).expect("ingest");
                     }
-                    acc += pre.predict_batch(&entities).iter().sum::<f64>();
+                    acc += pre.predict_batch_rows(&entities).iter().sum::<f64>();
                 }
                 acc
             });
@@ -731,7 +724,7 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
         // autograd-tape path. Tolerance story: `DESIGN.md` §15.
         {
             let mk = |precision| {
-                ServeEngine::from_fitted(
+                ShardedEngine::from_fitted(
                     db0.clone(),
                     query0.clone(),
                     model0.clone(),
@@ -742,21 +735,21 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
                         precision,
                         ..ServeConfig::default()
                     },
+                    1,
                 )
                 .expect("assemble precision engine")
             };
-            let mut eng64 = mk(Precision::F64);
-            let mut eng32 = mk(Precision::F32);
-            let batch = engine.config().max_batch;
-            let run = |eng: &mut ServeEngine| {
+            let eng64 = mk(Precision::F64);
+            let eng32 = mk(Precision::F32);
+            let run = |eng: &ShardedEngine| {
                 let mut acc = 0.0;
                 for chunk in stream.chunks(batch) {
-                    acc += eng.predict_batch(chunk).iter().sum::<f64>();
+                    acc += eng.predict_batch_rows(chunk).iter().sum::<f64>();
                 }
                 acc
             };
-            let before = best_secs(reps, || run(&mut eng64));
-            let after = best_secs(reps, || run(&mut eng32));
+            let before = best_secs(reps, || run(&eng64));
+            let after = best_secs(reps, || run(&eng32));
             sections.push(Section {
                 name: "serving_f32".into(),
                 shards: None,
@@ -789,10 +782,10 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
             let mut probe = DimProbe(Vec::new());
             let _ = predict_nodes(
                 &m32,
-                engine.graph(),
+                &snap0.graph,
                 node_type0,
                 &entities,
-                engine.anchor(),
+                snap0.anchor,
                 &mut probe,
             );
             let rows = probe.0.len().max(1) as f64;
@@ -863,23 +856,27 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
         let query = "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id";
         // Fit once to produce the snapshots the warm path boots from.
         let (_, db1, _) = DataDir::open(&data_dir).expect("open for fit");
-        let fitted =
-            ServeEngine::fit(db1, query, &exec, ServeConfig::default()).expect("fit for snapshot");
+        let fitted = ShardedEngine::fit(db1, query, &exec, ServeConfig::default(), 1)
+            .expect("fit for snapshot");
         let snaps = data_dir.join("snapshots");
-        relgraph_serve::save_engine(&snaps, &fitted, query).expect("save warm start");
+        fitted
+            .save_warm_start(&snaps, query)
+            .expect("save warm start");
         let boot_reps = reps.min(2);
         let before = best_secs(boot_reps, || {
             let (_, db, _) = DataDir::open(&data_dir).expect("cold open");
-            ServeEngine::fit(db, query, &exec, ServeConfig::default())
+            ShardedEngine::fit(db, query, &exec, ServeConfig::default(), 1)
                 .expect("cold fit")
-                .anchor()
+                .snapshot()
+                .anchor
         });
         let after = best_secs(boot_reps, || {
             let (_, db, _) = DataDir::open(&data_dir).expect("warm open");
-            relgraph_serve::warm_engine(&snaps, db, &exec, ServeConfig::default())
+            relgraph_serve::warm_sharded(&snaps, db, &exec, ServeConfig::default(), 1)
                 .expect("warm boot")
                 .0
-                .anchor()
+                .snapshot()
+                .anchor
         });
         sections.push(Section {
             name: "persistence".into(),

@@ -9,7 +9,7 @@
 //! embeddings are pure functions of `(type, node, level, anchor)`, the
 //! caches can only ever *skip* work, never change a value — correctness
 //! reduces to evicting the right entries when the graph underneath changes
-//! (see `engine::ServeEngine`).
+//! (see [`invalidate`](crate::invalidate)).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -248,6 +248,15 @@ impl CacheStats {
             ("serve.cache.embedding.hits", self.embedding_hits),
             ("serve.cache.embedding.misses", self.embedding_misses),
             ("serve.cache.embedding.evictions", self.embedding_evictions),
+            (
+                "serve.cache.prediction.invalidations",
+                self.invalidated_predictions,
+            ),
+            (
+                "serve.cache.embedding.invalidations",
+                self.invalidated_embeddings,
+            ),
+            ("serve.cache.flushes", self.flushes),
         ] {
             relgraph_obs::counter_to(name, value);
         }

@@ -1,15 +1,43 @@
-//! Delta-driven cache invalidation, shared between the single-threaded
-//! [`ServeEngine`](crate::ServeEngine) and the sharded serving tier.
+//! Delta-driven cache invalidation for the serving engine's cache slices.
 //!
-//! The correctness argument lives in `engine`'s module docs; this module
-//! owns the machinery: find the distance-0 dirty seeds an ingest created,
-//! close them over k hops, and package the result as an
-//! [`InvalidationPlan`] that any cache slice — the engine's own, or each
-//! shard's — can apply independently. A plan is *descriptive*, not
-//! imperative: it names `(type, node, distance)` triples, and applying it
-//! to a cache that never held those entries is a no-op. That is what lets
-//! one writer broadcast the same plan to every shard without knowing which
-//! shard cached what.
+//! # Why warm and cold predictions are bit-identical
+//!
+//! A cached hop-ℓ embedding `h_ℓ(v)` is a pure function of
+//! `(type, node, level, anchor)` over the graph's current state, and
+//! [`relgraph_gnn::predict_nodes`] only ever *reuses* cache entries — it
+//! never produces a different value because one exists. So a cache can
+//! only be wrong by holding an entry whose inputs changed underneath it.
+//! Each ingest closes exactly that hole:
+//!
+//! 1. **Dirty seeds (distance 0).** After appending a batch and applying
+//!    the graph delta, a node is *dirty* if its level-0 input row changed —
+//!    its feature row differs bitwise pre/post (z-score statistics shift on
+//!    append), it is an endpoint of a new edge (its neighbor list and
+//!    windowed degrees changed), or it is itself a new row.
+//! 2. **k-hop closure.** `h_ℓ(v)` reads embeddings of nodes up to ℓ hops
+//!    from `v`, so a dirty node at distance `d` from `v` can affect
+//!    `h_ℓ(v)` only when `ℓ ≥ d`. A BFS over the full adjacency (forward +
+//!    reverse edge types make neighbor-of symmetric) labels every node
+//!    within `k` hops of a dirty seed with its distance `d`
+//!    ([`dirty_closure`]).
+//! 3. **Precise eviction.** For each labelled node a slice drops cached
+//!    embeddings at levels `d..=k` and, for entity nodes, the tier-1
+//!    prediction ([`evict_dirty`]). Entries at levels `< d` provably kept
+//!    their inputs and stay.
+//!
+//! If the ingest advanced the deploy anchor, *every* entry's anchor input
+//! changed (relative-age features, visibility windows), so the plan is a
+//! wholesale flush instead. `tests/serving_equivalence.rs` holds the
+//! warm ≡ cold line under randomized ingest schedules.
+//!
+//! # Plans
+//!
+//! The writer packages each transition as an [`InvalidationPlan`] that
+//! every cache slice applies independently when it catches up. A plan is
+//! *descriptive*, not imperative: it names `(type, node, distance)`
+//! triples, and applying it to a cache that never held those entries is a
+//! no-op. That is what lets one writer publish the same plan to every
+//! slice without knowing which slice cached what.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -222,54 +250,6 @@ impl InvalidationPlan {
     }
 }
 
-/// The normative eviction predicate of one (possibly merged) plan, in a
-/// form that can be queried per entry instead of enumerating keys.
-///
-/// [`evict_dirty`] walks the dirty list and removes levels `d..=hops` by
-/// key — the right shape for a cache slice, where the plan is small
-/// relative to the cache. This struct states the same rule per entry, and
-/// a unit test pins the two against each other:
-/// under a plan `P` (including any [`InvalidationPlan::merge`] result),
-/// a cached embedding keyed `(ty, node, level)` must be dropped **iff**
-/// `P.flush`, or `P.dirty` contains `(ty, node)` at distance `d` with
-/// `level >= d`. Levels below `d` survive: a change `d` hops away can
-/// only reach an embedding whose receptive field spans at least `d` hops.
-/// Predictions count as level `hops` of the entity type.
-pub struct PlanFilter {
-    flush: bool,
-    dist: HashMap<(usize, usize), usize>,
-}
-
-impl PlanFilter {
-    /// Compile `plan` into the predicate form (one hash per dirty node;
-    /// merged plans already keep the minimum distance per node).
-    pub fn new(plan: &InvalidationPlan) -> Self {
-        let mut dist = HashMap::new();
-        if !plan.flush {
-            for &(ty, node, d) in plan.dirty.iter() {
-                dist.entry((ty, node))
-                    .and_modify(|e: &mut usize| *e = (*e).min(d))
-                    .or_insert(d);
-            }
-        }
-        PlanFilter {
-            flush: plan.flush,
-            dist,
-        }
-    }
-
-    /// True when the plan flushes wholesale (every entry is evicted).
-    pub fn flushes(&self) -> bool {
-        self.flush
-    }
-
-    /// Must the embedding keyed `(ty, node, level)` be dropped under this
-    /// plan?
-    pub fn evicts(&self, ty: usize, node: usize, level: usize) -> bool {
-        self.flush || self.dist.get(&(ty, node)).is_some_and(|&d| level >= d)
-    }
-}
-
 /// Apply one plan's precise evictions to a cache slice: embeddings at
 /// levels `d..=hops` for every dirty node, plus the tier-1 prediction for
 /// dirty entity nodes. Returns `(embeddings_evicted, predictions_evicted)`
@@ -327,15 +307,25 @@ mod tests {
         assert!(m.dirty.is_empty());
     }
 
+    /// The normative eviction rule, stated per entry: under a plan `P`
+    /// (including any [`InvalidationPlan::merge`] result), the embedding
+    /// keyed `(ty, node, level)` must be dropped **iff** `P.flush`, or
+    /// `P.dirty` holds `(ty, node)` at distance `d` with `level >= d`.
+    fn rule_evicts(plan: &InvalidationPlan, ty: usize, node: usize, level: usize) -> bool {
+        plan.flush
+            || plan
+                .dirty
+                .iter()
+                .any(|&(t, n, d)| (t, n) == (ty, node) && level >= d)
+    }
+
     #[test]
-    fn plan_filter_agrees_with_evict_dirty_on_every_level() {
+    fn evict_dirty_follows_the_eviction_rule_on_every_level() {
         use crate::cache::EmbeddingCache;
         use crate::codec::Identity;
         use relgraph_gnn::EmbeddingStore;
         let hops = 2usize;
         let plan = precise(1, &[((0, 3), 1), ((1, 5), 0), ((0, 7), 2)]);
-        let filter = PlanFilter::new(&plan);
-        assert!(!filter.flushes());
         let mut tier = EmbeddingCache::<Identity<f64>>::new(1024);
         let mut predictions: Lru<usize, f64> = Lru::new(1024);
         let keys: Vec<(usize, usize, usize)> = (0..2)
@@ -349,11 +339,11 @@ mod tests {
             let held = tier.get(ty, node, level).is_some();
             assert_eq!(
                 held,
-                !filter.evicts(ty, node, level),
-                "filter and evict_dirty disagree at ({ty}, {node}, {level})"
+                !rule_evicts(&plan, ty, node, level),
+                "rule and evict_dirty disagree at ({ty}, {node}, {level})"
             );
         }
-        assert!(PlanFilter::new(&InvalidationPlan::flush(2)).evicts(9, 9, 0));
+        assert!(rule_evicts(&InvalidationPlan::flush(2), 9, 9, 0));
     }
 
     #[test]

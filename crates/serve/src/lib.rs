@@ -4,15 +4,22 @@
 //! train once, then answer per-entity requests from a maintained graph at
 //! interactive latency.
 //!
-//! * [`engine`] — [`ServeEngine`]: owns the database, the incrementally
-//!   maintained graph, the trained model, and a two-tier cache (final
-//!   predictions + hop-ℓ node embeddings) with **precise delta
-//!   invalidation**: each ingested batch marks exactly the nodes whose
-//!   inputs changed and evicts cached state within k hops of them, so
-//!   cache-warm predictions stay bit-identical to a cold rebuild; and
+//! * [`sharded`] — [`ShardedEngine`], the one serving engine: it owns the
+//!   fitted model, publishes the database and its incrementally maintained
+//!   graph as epoch-swapped snapshots ([`epoch`]), and serves from `N`
+//!   hash-routed cache slices (final predictions + hop-ℓ node embeddings),
+//!   each behind a lock and scored inline by whichever caller thread needs
+//!   it. One shard is the single-threaded configuration; any shard count
+//!   is bit-identical;
+//! * [`invalidate`] — **precise delta invalidation**: each ingest marks
+//!   exactly the nodes whose inputs changed and publishes an
+//!   [`InvalidationPlan`] that every slice replays when it catches up,
+//!   evicting cached state within k hops of them, so cache-warm
+//!   predictions stay bit-identical to a cold rebuild;
+//! * [`engine`] — [`ServeConfig`], the ingest outcome types, and
 //!   [`predict_batch_cached`], the one cache-aware scorer every precision
-//!   and every slice runs (each engine picks its precision's walk model
-//!   and codec in one place);
+//!   and every slice runs (the precision's walk model and codec are
+//!   picked in one place);
 //! * [`batcher`] — [`MicroBatcher`]: size- and deadline-bounded request
 //!   coalescing, feeding the deduplicating batch inference path in
 //!   `relgraph-gnn`;
@@ -25,33 +32,43 @@
 //!   quantized [`Q8`]; a codec's round trip is the cache's
 //!   `canonicalize`, which keeps warm ≡ cold bitwise in every mode (the
 //!   tolerance story is in `DESIGN.md` §15);
+//! * [`persist`] — warm-start snapshots and warm boot ([`warm_sharded`]);
 //! * [`protocol`] — the `relgraph serve` JSONL wire format;
-//! * [`sharded`] — [`ShardedEngine`]: the concurrent tier — hash-routed
-//!   cache slices, each behind a lock and scored inline by whichever
-//!   caller thread needs it, against epoch-swapped graph snapshots
-//!   ([`epoch`]), with one writer publishing deltas as [`invalidate`]
-//!   plans every slice replays; any shard count is bit-identical to one
-//!   [`ServeEngine`];
-//! * [`server`] — the TCP/Unix-socket JSONL front-end over the sharded
-//!   tier, one handler thread per connection, each scoring its own
-//!   requests.
+//! * [`server`] — the TCP/Unix-socket JSONL front-end over the engine,
+//!   one handler thread per connection, each scoring its own requests.
 //!
 //! ## Example
 //!
-//! ```no_run
+//! ```
 //! use relgraph_datagen::{generate_ecommerce, EcommerceConfig};
 //! use relgraph_pq::ExecConfig;
-//! use relgraph_serve::{ServeConfig, ServeEngine};
+//! use relgraph_serve::{ServeConfig, ShardedEngine};
 //!
-//! let db = generate_ecommerce(&EcommerceConfig::default()).unwrap();
-//! let mut engine = ServeEngine::fit(
+//! let db = generate_ecommerce(&EcommerceConfig {
+//!     customers: 30,
+//!     products: 8,
+//!     ..Default::default()
+//! })
+//! .unwrap();
+//! let exec = ExecConfig {
+//!     epochs: 1,
+//!     hidden_dim: 8,
+//!     fanouts: vec![4, 4],
+//!     ..Default::default()
+//! };
+//! let engine = ShardedEngine::fit(
 //!     db,
 //!     "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id",
-//!     &ExecConfig::default(),
+//!     &exec,
 //!     ServeConfig::default(),
-//! ).unwrap();
-//! let p = engine.predict_row(0); // cold: computes + caches
-//! assert_eq!(engine.predict_row(0), p); // warm: served from cache
+//!     1, // shards
+//! )
+//! .unwrap();
+//! let rows = engine.deploy_entities().unwrap();
+//! let cold = engine.predict_batch_rows(&rows[..1]); // computes + caches
+//! let warm = engine.predict_batch_rows(&rows[..1]); // served from cache
+//! assert_eq!(cold[0].to_bits(), warm[0].to_bits());
+//! assert_eq!(engine.stats().prediction_hits, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -71,15 +88,13 @@ pub mod sharded;
 pub use batcher::MicroBatcher;
 pub use cache::{CacheSlice, CacheStats, EmbeddingCache, Lru};
 pub use codec::{dequantize_row, quantize_row, Identity, QuantizedRow, RowCodec, Q8};
-pub use engine::{
-    predict_batch_cached, GroupIngestOutcome, IngestOutcome, ServeConfig, ServeEngine,
-};
+pub use engine::{predict_batch_cached, GroupIngestOutcome, IngestOutcome, ServeConfig};
 pub use epoch::EpochCell;
 pub use error::{ServeError, ServeResult};
-pub use invalidate::{InvalidationPlan, PlanFilter};
+pub use invalidate::InvalidationPlan;
 pub use persist::{
-    load_model, save_engine, save_model, warm_engine, warm_sharded, warm_sharded_partial,
-    ModelSnapshot, PartialWarmBoot, WarmBootReport,
+    load_model, save_model, warm_sharded, warm_sharded_partial, ModelSnapshot, PartialWarmBoot,
+    WarmBootReport,
 };
 pub use protocol::{parse_request, recover_id, response_err, response_ok, Request};
 pub use server::{bind, handle_line, ServerListener, MAX_LINE_BYTES};

@@ -18,11 +18,16 @@
 //! count always equals request count; the error message echoes the
 //! (truncated) offending line, and [`recover_id`] makes a best-effort
 //! scan for an `"id"` even in malformed input so the client can correlate
-//! the error (`"id": null` only when no id is recoverable). The parser is
+//! the error (`"id": null` only when no id is recoverable). A line that
+//! is not valid UTF-8 gets the error [`NOT_UTF8`] with `"id": null`, and
+//! the stream keeps serving. The parser is
 //! a small hand-rolled flat-object scanner — the protocol needs no
 //! nesting and the build environment has no JSON dependency.
 
 use relgraph_store::Value;
+
+/// The error message both front-ends answer a non-UTF-8 request line with.
+pub const NOT_UTF8: &str = "request line is not valid UTF-8";
 
 /// One parsed prediction request.
 #[derive(Debug, Clone, PartialEq)]

@@ -14,7 +14,8 @@
 //! logic; the `id` echo still makes cross-checking trivial. A request
 //! line longer than [`MAX_LINE_BYTES`] gets one error response and the
 //! connection is closed, so a client that never sends a newline cannot
-//! grow the handler's memory.
+//! grow the handler's memory. A line that is not valid UTF-8 gets one
+//! error response and the connection keeps serving.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpListener;
@@ -27,7 +28,7 @@ use std::time::Duration;
 use relgraph_obs as obs;
 
 use crate::error::{ServeError, ServeResult};
-use crate::protocol::{parse_request, recover_id, response_err, response_ok};
+use crate::protocol::{parse_request, recover_id, response_err, response_ok, NOT_UTF8};
 use crate::sharded::ShardedEngine;
 
 /// Longest request line a socket connection may send, newline excluded.
@@ -157,15 +158,18 @@ fn handle_connection(engine: &ShardedEngine, stream: Box<dyn ReadWriteStream>) {
             let _ = write_line(&mut writer, &response_err(None, "request line too long"));
             break;
         }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            break;
+        let response = match std::str::from_utf8(&buf) {
+            Ok(line) => {
+                let line = line.strip_suffix('\n').unwrap_or(line);
+                let line = line.strip_suffix('\r').unwrap_or(line);
+                if line.trim().is_empty() {
+                    continue;
+                }
+                handle_line(engine, line)
+            }
+            Err(_) => response_err(None, NOT_UTF8),
         };
-        let line = line.strip_suffix('\n').unwrap_or(line);
-        let line = line.strip_suffix('\r').unwrap_or(line);
-        if line.trim().is_empty() {
-            continue;
-        }
-        if write_line(&mut writer, &handle_line(engine, line)).is_err() {
+        if write_line(&mut writer, &response).is_err() {
             break; // client hung up mid-response
         }
     }

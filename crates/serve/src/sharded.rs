@@ -3,8 +3,8 @@
 //!
 //! # Shape
 //!
-//! A [`ShardedEngine`] splits the single-threaded
-//! [`ServeEngine`](crate::ServeEngine) into two roles:
+//! A [`ShardedEngine`] — the crate's one serving engine; one shard is the
+//! single-threaded configuration — splits serving into two roles:
 //!
 //! * **Readers** — any number of caller threads. `predict_batch_*`
 //!   routes each row to one of `N` cache slices by hash
@@ -174,7 +174,6 @@ struct WriterState {
     mapping: GraphMapping,
     cursor: GraphCursor,
     opts: ConvertOptions,
-    query: PreparedQuery,
     anchor: Timestamp,
     epoch: u64,
     plans: VecDeque<InvalidationPlan>,
@@ -186,7 +185,8 @@ struct WriterState {
 pub struct ShardedEngine {
     model: Arc<NodeModel>,
     node_type: NodeTypeId,
-    entity_table: String,
+    /// Fixed at fit: no ingest changes the analyzed query.
+    query: PreparedQuery,
     hops: usize,
     cell: EpochCell<GraphSnapshot>,
     cfg: ServeConfig,
@@ -223,9 +223,11 @@ impl ShardedEngine {
         )
     }
 
-    /// Serve an already fitted model (see
-    /// [`ServeEngine::from_fitted`](crate::ServeEngine::from_fitted) for
-    /// why this is sound): rebuilds graph state over `db`, skips training.
+    /// Serve an already fitted model: rebuilds graph state over `db`,
+    /// skips training. Training is deterministic given the seed, so an
+    /// engine built this way over the same database predicts
+    /// bit-identically to the one the model was fitted on — this is how
+    /// benches and tests stamp out many engines from one fit.
     pub fn from_fitted(
         db: Database,
         query: PreparedQuery,
@@ -243,9 +245,11 @@ impl ShardedEngine {
     }
 
     /// Serve an already fitted model over an already compiled graph — the
-    /// warm-restart path (see
-    /// [`ServeEngine::from_fitted_graph`](crate::ServeEngine::from_fitted_graph)).
-    /// `graph`/`mapping` must be current with respect to `db`.
+    /// warm-restart path. `graph`/`mapping` must be current with respect
+    /// to `db` (the loader catches a snapshot up with `update_graph`
+    /// first); the engine then serves bit-identically to a cold
+    /// [`fit`](Self::fit) on the same database, without re-featurizing a
+    /// row or training anything.
     #[allow(clippy::too_many_arguments)]
     pub fn from_fitted_graph(
         db: Database,
@@ -307,7 +311,6 @@ impl ShardedEngine {
         let cursor = GraphCursor::capture(&db);
         let anchor = deploy_anchor(&db);
         let hops = model.sampler_cfg().fanouts.len();
-        let entity_table = query.analyzed().entity_table.clone();
         let snapshot = Arc::new(GraphSnapshot {
             epoch: 0,
             db: db.clone(),
@@ -336,7 +339,7 @@ impl ShardedEngine {
         Ok(ShardedEngine {
             model,
             node_type,
-            entity_table,
+            query,
             hops,
             cell: EpochCell::new(snapshot),
             cfg,
@@ -347,7 +350,6 @@ impl ShardedEngine {
                 mapping,
                 cursor,
                 opts,
-                query,
                 anchor,
                 epoch: 0,
                 plans: VecDeque::new(),
@@ -364,6 +366,27 @@ impl ShardedEngine {
     /// [`from_fitted`](Self::from_fitted) without them).
     pub fn fit_metrics(&self) -> &[(String, f64)] {
         &self.metrics
+    }
+
+    /// The fitted model.
+    pub fn model(&self) -> &NodeModel {
+        &self.model
+    }
+
+    /// A shareable handle to the fitted model, for
+    /// [`from_fitted`](Self::from_fitted).
+    pub fn model_handle(&self) -> Arc<NodeModel> {
+        Arc::clone(&self.model)
+    }
+
+    /// Node type of the entity table.
+    pub fn node_type(&self) -> NodeTypeId {
+        self.node_type
+    }
+
+    /// The prepared query this engine serves.
+    pub fn query(&self) -> &PreparedQuery {
+        &self.query
     }
 
     /// Epoch of the currently published snapshot.
@@ -425,10 +448,10 @@ impl ShardedEngine {
         shard_of_row(row, self.shards.len())
     }
 
-    /// Entity rows that may legitimately be scored right now.
+    /// Entity rows that may legitimately be scored at the published
+    /// epoch. Reads the snapshot, so it never waits behind an ingest.
     pub fn deploy_entities(&self) -> ServeResult<Vec<usize>> {
-        let w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        Ok(w.query.deploy_entities(&w.db)?)
+        Ok(self.query.deploy_entities(&self.cell.load().db)?)
     }
 
     /// Score entity rows on the calling thread: route them to their
@@ -500,7 +523,8 @@ impl ShardedEngine {
     /// Unknown keys get per-request errors; the rest are still fused.
     pub fn predict_batch_keys(&self, keys: &[Value]) -> Vec<ServeResult<f64>> {
         let snap = self.cell.load();
-        let table = match snap.db.table(&self.entity_table) {
+        let entity_table = &self.query.analyzed().entity_table;
+        let table = match snap.db.table(entity_table) {
             Ok(t) => t,
             Err(e) => {
                 return keys
@@ -518,7 +542,7 @@ impl ShardedEngine {
             .map(|(key, row)| match row {
                 Some(_) => Ok(it.next().expect("one prediction per resolved row")),
                 None => Err(ServeError::UnknownEntity {
-                    table: self.entity_table.clone(),
+                    table: entity_table.clone(),
                     key: key.to_string(),
                 }),
             })

@@ -1,7 +1,9 @@
-//! Engine-level correctness: warm cached predictions after ingest-driven
-//! invalidation must be bit-identical to a cold rebuild-and-predict, and
-//! the invalidation must be *precise* — evicting affected entries while
-//! untouched ones survive. The wider randomized battery lives in the
+//! Engine-level correctness on one shard: warm cached predictions after
+//! ingest-driven invalidation must be bit-identical to a cold
+//! rebuild-and-predict, and the invalidation must be *precise* — evicting
+//! affected entries while untouched ones survive. A slice evicts when its
+//! next read catches it up to the published epoch, so eviction counts are
+//! read from `stats()` after that read. The wider randomized battery lives in the
 //! workspace-level `tests/serving_equivalence.rs`; this file pins the
 //! mechanics on one hand-checked scenario.
 
@@ -9,12 +11,12 @@ use relgraph_datagen::{generate_ecommerce, EcommerceConfig};
 use relgraph_db2graph::{build_graph, ConvertOptions};
 use relgraph_gnn::{predict_nodes, NoCache};
 use relgraph_pq::ExecConfig;
-use relgraph_serve::{ServeConfig, ServeEngine};
+use relgraph_serve::{ServeConfig, ShardedEngine};
 use relgraph_store::{IngestPolicy, Row, RowBatch, Value};
 
 const QUERY: &str = "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id";
 
-fn engine() -> ServeEngine {
+fn engine() -> ShardedEngine {
     let db = generate_ecommerce(&EcommerceConfig {
         customers: 60,
         products: 12,
@@ -28,14 +30,14 @@ fn engine() -> ServeEngine {
         fanouts: vec![4, 4],
         ..Default::default()
     };
-    ServeEngine::fit(db, QUERY, &exec, ServeConfig::default()).unwrap()
+    ShardedEngine::fit(db, QUERY, &exec, ServeConfig::default(), 1).unwrap()
 }
 
 /// A batch of orders placed *before* the database's latest timestamp, so
 /// the deploy anchor stays put and the engine must invalidate precisely
 /// instead of flushing.
-fn late_orders(engine: &ServeEngine, n: usize) -> RowBatch {
-    let (lo, hi) = engine.db().time_span().unwrap();
+fn late_orders(engine: &ShardedEngine, n: usize) -> RowBatch {
+    let (lo, hi) = engine.snapshot().db.time_span().unwrap();
     let mut batch = RowBatch::new();
     for i in 0..n {
         let t = lo + (hi - lo) / 2 + i as i64; // strictly inside the span
@@ -54,27 +56,28 @@ fn late_orders(engine: &ServeEngine, n: usize) -> RowBatch {
     batch
 }
 
-fn cold_predictions(engine: &ServeEngine, rows: &[usize]) -> Vec<f64> {
-    let (scratch, _) = build_graph(engine.db(), &ConvertOptions::default()).unwrap();
+fn cold_predictions(engine: &ShardedEngine, rows: &[usize]) -> Vec<f64> {
+    let snap = engine.snapshot();
+    let (scratch, _) = build_graph(&snap.db, &ConvertOptions::default()).unwrap();
     predict_nodes(
         engine.model(),
         &scratch,
         engine.node_type(),
         rows,
-        engine.anchor(),
+        snap.anchor,
         &mut NoCache,
     )
 }
 
 #[test]
 fn warm_predictions_survive_precise_invalidation_bitwise() {
-    let mut engine = engine();
+    let engine = engine();
     let rows = engine.deploy_entities().unwrap();
     assert!(rows.len() >= 50);
 
     // Warm both tiers.
-    let before = engine.predict_batch(&rows);
-    let warm = engine.predict_batch(&rows);
+    let before = engine.predict_batch_rows(&rows);
+    let warm = engine.predict_batch_rows(&rows);
     for (a, b) in before.iter().zip(&warm) {
         assert_eq!(a.to_bits(), b.to_bits(), "idempotent warm read");
     }
@@ -82,22 +85,25 @@ fn warm_predictions_survive_precise_invalidation_bitwise() {
     assert_eq!(stats.prediction_hits as usize, rows.len());
 
     // Ingest late orders: anchor unchanged, precise invalidation required.
-    let anchor_before = engine.anchor();
+    let anchor_before = engine.snapshot().anchor;
     let outcome = engine
         .ingest(late_orders(&engine, 8), &IngestPolicy::coerce_all())
         .unwrap();
     assert_eq!(outcome.report.accepted, 8);
     assert!(!outcome.flushed, "anchor did not advance: no flush");
     assert!(!outcome.rebuilt);
-    assert_eq!(engine.anchor(), anchor_before);
-    assert!(
-        outcome.invalidated_embeddings > 0,
-        "new edges must dirty cached embeddings"
-    );
-    assert!(outcome.invalidated_predictions > 0);
+    assert!(outcome.dirty_nodes > 0, "new edges must dirty nodes");
+    assert_eq!(engine.snapshot().anchor, anchor_before);
 
     // Warm path after invalidation ≡ cold rebuild-and-predict, bit for bit.
-    let warm_after = engine.predict_batch(&rows);
+    // This read catches the slice up, which is when it evicts.
+    let warm_after = engine.predict_batch_rows(&rows);
+    let evicted = engine.stats();
+    assert!(
+        evicted.invalidated_embeddings > stats.invalidated_embeddings,
+        "new edges must dirty cached embeddings"
+    );
+    assert!(evicted.invalidated_predictions > stats.invalidated_predictions);
     let cold_after = cold_predictions(&engine, &rows);
     for (i, (w, c)) in warm_after.iter().zip(&cold_after).enumerate() {
         assert_eq!(
@@ -109,7 +115,7 @@ fn warm_predictions_survive_precise_invalidation_bitwise() {
     }
 
     // The re-read is served from cache and still bit-identical.
-    let warm_again = engine.predict_batch(&rows);
+    let warm_again = engine.predict_batch_rows(&rows);
     for (a, b) in warm_after.iter().zip(&warm_again) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
@@ -117,9 +123,9 @@ fn warm_predictions_survive_precise_invalidation_bitwise() {
 
 #[test]
 fn invalidation_is_precise_not_a_flush() {
-    let mut engine = engine();
+    let engine = engine();
     let rows = engine.deploy_entities().unwrap();
-    engine.predict_batch(&rows);
+    engine.predict_batch_rows(&rows);
     let pre_stats = engine.stats();
     assert!(pre_stats.embedding_misses > 0);
 
@@ -127,12 +133,13 @@ fn invalidation_is_precise_not_a_flush() {
         .ingest(late_orders(&engine, 4), &IngestPolicy::coerce_all())
         .unwrap();
     assert!(!outcome.flushed);
-    assert_eq!(engine.stats().flushes, 0);
 
     // Re-serving everything must hit the surviving embedding entries: far
-    // fewer misses than the cold pass took.
+    // fewer misses than the cold pass took. The catch-up on this read
+    // evicted precisely and did not flush.
     let cold_misses = pre_stats.embedding_misses;
-    engine.predict_batch(&rows);
+    engine.predict_batch_rows(&rows);
+    assert_eq!(engine.stats().flushes, 0);
     let second_pass_misses = engine.stats().embedding_misses - cold_misses;
     assert!(
         second_pass_misses < cold_misses,
@@ -143,11 +150,11 @@ fn invalidation_is_precise_not_a_flush() {
 
 #[test]
 fn anchor_advance_flushes_both_tiers() {
-    let mut engine = engine();
+    let engine = engine();
     let rows = engine.deploy_entities().unwrap();
-    engine.predict_batch(&rows);
+    engine.predict_batch_rows(&rows);
 
-    let (_, hi) = engine.db().time_span().unwrap();
+    let (_, hi) = engine.snapshot().db.time_span().unwrap();
     let mut batch = RowBatch::new();
     batch.push(
         "orders",
@@ -162,20 +169,13 @@ fn anchor_advance_flushes_both_tiers() {
     );
     let outcome = engine.ingest(batch, &IngestPolicy::coerce_all()).unwrap();
     assert!(outcome.flushed, "advancing the anchor must flush");
-    assert_eq!(engine.anchor(), hi + 86_400);
-    assert_eq!(engine.stats().flushes, 1);
+    assert_eq!(engine.snapshot().anchor, hi + 86_400);
 
-    // Still correct against a cold rebuild at the new anchor.
-    let warm = engine.predict_batch(&rows);
-    let (scratch, _) = build_graph(engine.db(), &ConvertOptions::default()).unwrap();
-    let cold = predict_nodes(
-        engine.model(),
-        &scratch,
-        engine.node_type(),
-        &rows,
-        engine.anchor(),
-        &mut NoCache,
-    );
+    // Still correct against a cold rebuild at the new anchor. The read
+    // catches the slice up, which is when it flushes.
+    let warm = engine.predict_batch_rows(&rows);
+    assert_eq!(engine.stats().flushes, 1);
+    let cold = cold_predictions(&engine, &rows);
     for (w, c) in warm.iter().zip(&cold) {
         assert_eq!(w.to_bits(), c.to_bits());
     }
@@ -183,7 +183,7 @@ fn anchor_advance_flushes_both_tiers() {
 
 #[test]
 fn unknown_entity_keys_are_per_request_errors() {
-    let mut engine = engine();
+    let engine = engine();
     let keys = vec![Value::Int(1), Value::Int(999_999), Value::Int(2)];
     let results = engine.predict_batch_keys(&keys);
     assert!(results[0].is_ok());
@@ -195,8 +195,8 @@ fn unknown_entity_keys_are_per_request_errors() {
 
 #[test]
 fn duplicate_rows_in_one_batch_are_computed_once() {
-    let mut engine = engine();
-    let p = engine.predict_batch(&[3, 3, 3]);
+    let engine = engine();
+    let p = engine.predict_batch_rows(&[3, 3, 3]);
     assert_eq!(p[0].to_bits(), p[1].to_bits());
     assert_eq!(p[1].to_bits(), p[2].to_bits());
     // One distinct row was computed; the duplicates neither hit the cache
@@ -204,6 +204,6 @@ fn duplicate_rows_in_one_batch_are_computed_once() {
     let stats = engine.stats();
     assert_eq!(stats.prediction_hits, 0);
     assert_eq!(stats.prediction_misses, 3);
-    assert_eq!(engine.predict_row(3).to_bits(), p[0].to_bits());
+    assert_eq!(engine.predict_batch_rows(&[3])[0].to_bits(), p[0].to_bits());
     assert_eq!(engine.stats().prediction_hits, 1);
 }

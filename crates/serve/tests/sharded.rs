@@ -95,8 +95,7 @@ impl Fitted {
     }
 }
 
-/// Fit once via a ServeEngine (exposes the model), then stamp out the
-/// sharded engine from the same model — bit-identical by construction.
+/// Fit the sharded engine; its model drives the cold reference.
 fn fit_sharded(db: Database, shards: usize) -> Fitted {
     fit_sharded_cfg(db, shards, ServeConfig::default())
 }
@@ -104,25 +103,11 @@ fn fit_sharded(db: Database, shards: usize) -> Fitted {
 /// Like [`fit_sharded`] but with an explicit serving configuration, so
 /// tests can shrink cache tiers.
 fn fit_sharded_cfg(db: Database, shards: usize, cfg: ServeConfig) -> Fitted {
-    use relgraph_serve::ServeEngine;
-    let single =
-        ServeEngine::fit(db.clone(), QUERY, &quick_exec(), ServeConfig::default()).unwrap();
-    let model = single.model_handle();
-    let node_type = single.node_type();
-    let engine = ShardedEngine::from_fitted(
-        db,
-        single.query().clone(),
-        Arc::clone(&model),
-        node_type,
-        single.metrics_owned(),
-        cfg,
-        shards,
-    )
-    .unwrap();
+    let engine = ShardedEngine::fit(db, QUERY, &quick_exec(), cfg, shards).unwrap();
     Fitted {
+        model: engine.model_handle(),
+        node_type: engine.node_type(),
         engine: Arc::new(engine),
-        model,
-        node_type,
     }
 }
 
@@ -546,4 +531,45 @@ fn oversized_request_line_is_refused_and_closed() {
         stop.store(true, Ordering::Relaxed);
         server.join().unwrap();
     });
+}
+
+/// A request line that is not valid UTF-8 gets one structured error, and
+/// the connection keeps serving: the next valid line on it still scores.
+#[test]
+fn non_utf8_request_line_is_answered_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let fitted = fit_sharded(small_db(71), 2);
+    let engine = &fitted.engine;
+    let listener = relgraph_serve::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr();
+    let stop = AtomicBool::new(false);
+
+    // Read both replies, then stop the server, then assert: a failed
+    // assert inside the scope would leave the server running.
+    let (first, second) = std::thread::scope(|scope| {
+        let server = scope.spawn(|| listener.run(engine, &stop).unwrap());
+        let conn = std::net::TcpStream::connect(&addr).unwrap();
+        (&conn)
+            .write_all(b"{\"id\": 1, \"entity\": \xff\xfe}\n{\"id\": 2, \"entity\": 3}\n")
+            .unwrap();
+        let mut reader = BufReader::new(&conn);
+        let (mut first, mut second) = (String::new(), String::new());
+        reader.read_line(&mut first).unwrap();
+        reader.read_line(&mut second).unwrap();
+        drop(reader);
+        drop(conn);
+        stop.store(true, Ordering::Relaxed);
+        server.join().unwrap();
+        (first, second)
+    });
+    assert_eq!(
+        first.trim_end(),
+        relgraph_serve::response_err(None, relgraph_serve::protocol::NOT_UTF8),
+        "a non-UTF-8 line gets one structured error"
+    );
+    assert!(
+        second.starts_with("{\"id\": 2, ") && second.contains("\"prediction\":"),
+        "the same connection must keep serving: `{second}`"
+    );
 }

@@ -926,16 +926,21 @@ fn run_serve(it: impl Iterator<Item = String>) -> Result<(), String> {
         engine.shards()
     );
 
-    // Reader thread feeds the micro-batcher; the main thread serves.
-    let (tx, rx) = std::sync::mpsc::channel::<String>();
+    // Reader thread feeds the micro-batcher; the main thread serves. A
+    // line that is not valid UTF-8 travels as `Err` and is answered in
+    // order with one error response.
+    let (tx, rx) = std::sync::mpsc::channel::<Result<String, ()>>();
     let reader = std::thread::spawn(move || {
         let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break,
+        for bytes in stdin.lock().split(b'\n') {
+            let Ok(mut bytes) = bytes else {
+                break;
             };
-            if line.trim().is_empty() {
+            if bytes.last() == Some(&b'\r') {
+                bytes.pop();
+            }
+            let line = String::from_utf8(bytes).map_err(|_| ());
+            if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
                 continue;
             }
             if tx.send(line).is_err() {
@@ -956,7 +961,10 @@ fn run_serve(it: impl Iterator<Item = String>) -> Result<(), String> {
         // Parse every line; score the parseable ones as one fused batch.
         let parsed: Vec<Result<serve_protocol::Request, String>> = lines
             .iter()
-            .map(|l| serve_protocol::parse_request(l))
+            .map(|l| match l {
+                Ok(l) => serve_protocol::parse_request(l),
+                Err(()) => Err(serve_protocol::NOT_UTF8.to_string()),
+            })
             .collect();
         let keys: Vec<relgraph::store::Value> = parsed
             .iter()
@@ -971,7 +979,10 @@ fn run_serve(it: impl Iterator<Item = String>) -> Result<(), String> {
                     Err(e) => serve_protocol::response_err(Some(req.id), &e.to_string()),
                 },
                 // Best-effort id so the client can still correlate.
-                Err(msg) => serve_protocol::response_err(serve_protocol::recover_id(raw), msg),
+                Err(msg) => serve_protocol::response_err(
+                    raw.as_deref().ok().and_then(serve_protocol::recover_id),
+                    msg,
+                ),
             };
             writeln!(out, "{line}").map_err(|e| e.to_string())?;
             responses += 1;
